@@ -24,6 +24,7 @@ from .chain import (
     build_budget,
     efficiency_sweep,
     homodyne_readout,
+    noise_db,
     propagate,
     total_efficiency,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "generated_spectrum",
     "homodyne_readout",
     "load_scenario",
+    "noise_db",
     "parse_scenario",
     "propagate",
     "pump_parameter",

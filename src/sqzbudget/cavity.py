@@ -17,14 +17,16 @@ below the FSR; :func:`reflection` warns once past fsr/4.
 
 A detuned cavity treats the two sidebands of a quadrature pair differently.
 In the two-photon picture the quadrature-domain transfer at sideband
-frequency omega is
+frequency omega follows in closed form from a = r(+omega) and
+b = conj(r(-omega)):
 
-    T = Lam @ diag(r(+omega), conj(r(-omega))) @ Lam^-1
-    Lam = [[1, 1], [-1j, 1j]] / sqrt(2)
+    T = 1/2 [[a + b, i(a - b)], [-i(a - b), a + b]]
 
 For a lossless cavity T is (up to a global phase) a rotation of the squeezing
 ellipse; with round-trip loss the missing power is refilled with vacuum via
 N = I - T @ T^dagger, and covariances propagate as S' = T S T^dagger + N.
+Every function takes omega as a scalar or a 1-D array; matrices carry the
+frequency axis last, so ``t[i, j]`` is one element across all frequencies.
 """
 
 import cmath
@@ -33,14 +35,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.constants
 
 from .quadcore import SpectralCovariance, UnphysicalError
 
-SPEED_OF_LIGHT = scipy.constants.c
-
-_LAMBDA = np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0)
-_LAMBDA_INV = _LAMBDA.conj().T  # unitary
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def reflection(p, omega_hz):
     if p.hwhm_hz is None:
         raise ValueError("cavity rates not derived; call derive_rates first")
     delta = omega_hz - p.detuning_hz
-    if p.fsr_hz is not None and abs(delta) >= p.fsr_hz / 4.0:
+    if p.fsr_hz is not None and np.any(np.abs(delta) >= p.fsr_hz / 4.0):
         warnings.warn(
             "sideband offset beyond fsr/4; single-resonance approximation degrades",
             stacklevel=2,
@@ -122,31 +120,53 @@ def reflection(p, omega_hz):
     return 2.0 * _coupling(p) / (1.0 - 1j * x) - 1.0
 
 
+def _outer_dagger(x0, x1, y0, y1):
+    """Element (i, j) of X Y^dagger given row i of X and row j of Y."""
+    return x0 * np.conj(y0) + x1 * np.conj(y1)
+
+
 @dataclass(frozen=True)
 class TransferPair:
-    """Quadrature transfer matrix T and vacuum-fill matrix N = I - T T^dagger."""
+    """Quadrature transfer matrix T and vacuum-fill matrix N = I - T T^dagger.
+
+    Both have shape (2, 2) at one frequency and (2, 2, n) over n frequencies.
+    """
 
     t: np.ndarray
     n: np.ndarray
 
     def apply(self, s):
-        """Propagate a covariance: S' = T S T^dagger + N."""
-        m = self.t @ s.matrix() @ self.t.conj().T + self.n
-        # hermitize away rounding noise before rebuilding
+        """Propagate a covariance: S' = T S T^dagger + N, element by element."""
+        (t00, t01), (t10, t11) = self.t
+        s21 = np.conj(s.s12)
+        # rows of T S
+        u0 = (t00 * s.s11 + t01 * s21, t00 * s.s12 + t01 * s.s22)
+        u1 = (t10 * s.s11 + t11 * s21, t10 * s.s12 + t11 * s.s22)
         return SpectralCovariance(
-            m[0, 0].real, m[1, 1].real, complex(0.5 * (m[0, 1] + np.conj(m[1, 0])))
+            (_outer_dagger(*u0, t00, t01) + self.n[0, 0]).real,
+            (_outer_dagger(*u1, t10, t11) + self.n[1, 1]).real,
+            _outer_dagger(*u0, t10, t11) + self.n[0, 1],
         )
 
 
 def quadrature_transfer(p, omega_hz):
     """Two-photon transfer pair (T, N) at positive sideband frequency omega_hz."""
-    if omega_hz <= 0.0:
-        raise ValueError(f"sideband frequency must be positive, got {omega_hz!r}")
-    d = np.array(
-        [[reflection(p, omega_hz), 0.0], [0.0, np.conj(reflection(p, -omega_hz))]]
-    )
-    t = _LAMBDA @ d @ _LAMBDA_INV
-    n = np.eye(2) - t @ t.conj().T
+    ok = np.asarray(omega_hz) > 0.0
+    if not np.all(ok):
+        raise ValueError(
+            f"sideband frequency must be positive, got {np.extract(~ok, omega_hz)[0].item()!r}"
+        )
+    a = reflection(p, omega_hz)
+    b = np.conj(reflection(p, -omega_hz))
+    diag = 0.5 * (a + b)
+    off = 0.5j * (a - b)
+    t00, t01, t10, t11 = diag, off, -off, diag
+    # with S = I, apply() repeats these products exactly, so vacuum maps to vacuum bit for bit
+    tt00 = _outer_dagger(t00, t01, t00, t01)
+    tt01 = _outer_dagger(t00, t01, t10, t11)
+    tt11 = _outer_dagger(t10, t11, t10, t11)
+    t = np.array([[t00, t01], [t10, t11]])
+    n = np.array([[1.0 - tt00, -tt01], [-np.conj(tt01), 1.0 - tt11]])
     return TransferPair(t, n)
 
 

@@ -34,6 +34,8 @@ CATEGORIES = (
 
 CAVITY_ROLES = ("filter", "src")
 
+CHUNK_POINTS = 2048  # grid points propagated (and written as CSV rows) together
+
 
 @dataclass(frozen=True)
 class LossElement:
@@ -72,8 +74,13 @@ class FrequencyGrid:
     points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.fmin_hz) and math.isfinite(self.fmax_hz)):
+            raise ValueError(
+                f"grid bounds must be finite, got [{self.fmin_hz!r}, {self.fmax_hz!r}] Hz")
         if not (self.fmin_hz > 0.0 and self.fmax_hz > self.fmin_hz):
             raise ValueError("need 0 < fmin_hz < fmax_hz")
+        if isinstance(self.points, bool) or not isinstance(self.points, int):
+            raise ValueError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError("need at least 2 grid points")
 
@@ -118,12 +125,14 @@ def total_efficiency(elements):
 def propagate(sc, omega_hz):
     """Covariance at the homodyne input for sideband frequency omega_hz.
 
-    Starts from the source spectrum (escape included) and folds the stages
-    in chain order.
+    omega_hz is a scalar or a 1-D array.  Starts from the source spectrum
+    (escape included) and folds the stages in chain order over all
+    frequencies at once.
     """
-    if not sc.grid.fmin_hz <= omega_hz <= sc.grid.fmax_hz:
+    inside = np.logical_and(sc.grid.fmin_hz <= omega_hz, omega_hz <= sc.grid.fmax_hz)
+    if not np.all(inside):
         raise ValueError(
-            f"omega_hz {omega_hz!r} outside the scenario grid "
+            f"omega_hz {np.extract(~inside, omega_hz)[0].item()!r} outside the scenario grid "
             f"[{sc.grid.fmin_hz!r}, {sc.grid.fmax_hz!r}]"
         )
     s = generated_spectrum(sc.source, omega_hz)
@@ -132,9 +141,11 @@ def propagate(sc, omega_hz):
             s = apply_loss_cov(s, stage.eta)
         else:
             s = _cavity.quadrature_transfer(stage.params, omega_hz).apply(s)
-    if not s.is_positive_semidefinite():
+    physical = s.is_positive_semidefinite()
+    if not np.all(physical):
         raise RuntimeError(
-            f"internal error: propagated covariance lost positivity at {omega_hz} Hz: {s}"
+            "internal error: propagated covariance lost positivity at "
+            f"{np.extract(~physical, omega_hz)[0].item()} Hz"
         )
     return s
 
@@ -144,6 +155,21 @@ def homodyne_readout(s, theta):
     c = math.cos(theta)
     sn = math.sin(theta)
     return c * c * s.s11 + sn * sn * s.s22 + 2.0 * c * sn * s.s12.real
+
+
+def noise_db(sc, frequencies):
+    """Homodyne noise in dB below shot noise at each frequency.
+
+    Shot noise is the vacuum fixed point of the chain (relative variance 1),
+    so no reference run is needed.  The grid is propagated CHUNK_POINTS at a
+    time, which keeps the temporaries the same size at any grid length.
+    """
+    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    v = np.empty_like(freqs)
+    for start in range(0, freqs.size, CHUNK_POINTS):
+        part = slice(start, start + CHUNK_POINTS)
+        v[part] = homodyne_readout(propagate(sc, freqs[part]), sc.homodyne_angle)
+    return variance_to_db(v)
 
 
 def efficiency_sweep(input_db, eta_min, eta_max, n):

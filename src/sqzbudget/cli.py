@@ -12,14 +12,20 @@ import sys
 import numpy as np
 
 from . import chain, interferometer
-from .quadcore import UnphysicalError, variance_to_db
+from .quadcore import UnphysicalError
 from .scenario_io import ScenarioParseError, load_scenario
-from .source import vacuum_source
 
 
-def _csv_num(x):
-    # round first so negative values that format to zero lose their sign
-    return "%.6f" % (round(float(x), 6) + 0.0)
+def _csv_lines(columns):
+    """CSV text with one line per row of the given columns.
+
+    Numbers are fixed-point with six decimals, rounded half to even like
+    ``round``; a value that rounds to zero prints without a minus sign.
+    """
+    line = ",".join(["%.6f"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    # %.6f always prints six decimals, so "-0.000000" can only be a whole field
+    return "".join([line % row for row in rows]).replace("-0.000000", "0.000000")
 
 
 def format_budget(report):
@@ -60,30 +66,22 @@ def cmd_spectrum(args, out):
     freqs = sc.grid.frequencies()
     if sc.cavity_stage("src") is not None:
         ns = interferometer.snr_spectrum(sc, freqs)
-        columns = zip(ns.frequency_hz, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
+        columns = (freqs / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
     else:
         # no recycling cavity: flat unit signal gain, improvement = suppression
-        shot_sc = dataclasses.replace(sc, source=vacuum_source(sc.source))
-        rows = []
-        for f in freqs:
-            v = chain.homodyne_readout(chain.propagate(sc, f), sc.homodyne_angle)
-            v_shot = chain.homodyne_readout(chain.propagate(shot_sc, f), sc.homodyne_angle)
-            ndb = variance_to_db(v / v_shot)
-            rows.append((f, ndb, 0.0, ndb))
-        columns = rows
+        noise = chain.noise_db(sc, freqs)
+        columns = (freqs / 1e6, noise, np.zeros_like(noise), noise)
     out.write("frequency_mhz,noise_db,signal_db,snr_improvement_db\n")
-    for f, noise, signal, improvement in columns:
-        out.write(",".join(
-            [_csv_num(f / 1e6), _csv_num(noise), _csv_num(signal), _csv_num(improvement)]
-        ) + "\n")
+    # chunked like the propagation, so the text built at once does not grow with the grid
+    for start in range(0, freqs.size, chain.CHUNK_POINTS):
+        out.write(_csv_lines([c[start:start + chain.CHUNK_POINTS] for c in columns]))
     return 0
 
 
 def cmd_sweep(args, out):
     points = chain.efficiency_sweep(args.input_db, args.eta_min, args.eta_max, args.points)
     out.write("eta,observed_db\n")
-    for eta, db in points:
-        out.write(f"{_csv_num(eta)},{_csv_num(db)}\n")
+    out.write(_csv_lines(tuple(zip(*points))))
     return 0
 
 

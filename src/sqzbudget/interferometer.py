@@ -6,19 +6,18 @@ loss, strongest at the detuning frequency).  A phase-modulation signal
 entering through the interferometer is filtered by its transmission
 resonance, so the signal transfer is a Lorentzian peaked at the detuning.
 Squeezed vacuum carries no signal, so an SNR improvement in dB equals the
-noise suppression in dB.
+noise suppression in dB.  The shot-noise reference is the vacuum fixed point
+of the chain: with the pump off every passive stage returns vacuum exactly,
+so the noise is referenced to a relative variance of 1 rather than to a
+second, pump-off run.
 """
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cavity as _cavity
 from . import chain as _chain
-from .quadcore import variance_to_db
-from .source import vacuum_source
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,7 @@ def src_squeezing_reflection(p, omega_hz):
 def signal_gain(p, omega_hz):
     """Signal power transfer, normalized to 1 at the cavity detuning.
 
+    omega_hz is a scalar or an array; the rates are derived once per call.
     A single signal sideband at omega_hz sees the Lorentzian resonance
     g = hwhm^2 / (hwhm^2 + (omega - detuning)^2).
     """
@@ -86,24 +86,16 @@ class NoiseSpectrum:
 def snr_spectrum(sc, frequencies):
     """Noise, signal, and SNR-improvement spectra of a recycling scenario.
 
-    The shot-noise reference at each frequency is the identical scenario run
-    with the pump off, so modeling bias common to both runs cancels.  The
-    signal path is untouched by squeezing, hence the improvement column
-    equals the noise suppression.
+    Noise is referenced to shot noise, the vacuum fixed point of the chain
+    (see :func:`sqzbudget.chain.noise_db`).  The signal path is untouched by
+    squeezing, hence the improvement column equals the noise suppression.
     """
     stage = sc.cavity_stage("src")
     if stage is None:
         raise ValueError("scenario has no signal-recycling cavity stage")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    src = SrcParams(cavity=stage.params)
-    shot_sc = dataclasses.replace(sc, source=vacuum_source(sc.source))
-    noise = np.empty_like(freqs)
-    signal = np.empty_like(freqs)
-    for i, f in enumerate(freqs):
-        v = _chain.homodyne_readout(_chain.propagate(sc, f), sc.homodyne_angle)
-        v_shot = _chain.homodyne_readout(_chain.propagate(shot_sc, f), sc.homodyne_angle)
-        noise[i] = variance_to_db(v / v_shot)
-        signal[i] = 10.0 * math.log10(signal_gain(src, f))
+    noise = _chain.noise_db(sc, freqs)
+    signal = 10.0 * np.log10(signal_gain(SrcParams(cavity=stage.params), freqs))
     return NoiseSpectrum(
         frequency_hz=freqs,
         noise_db=noise,

@@ -9,6 +9,8 @@ below shot noise:
 so 10 dB of squeezing means a variance of 0.1, and anti-squeezing comes out
 negative.  A passive loss of power transmission ``eta`` mixes the field with
 vacuum on a beamsplitter and maps variances as ``v -> eta*v + (1 - eta)``.
+Variances and covariances may be arrays over frequency; the algebra is
+element-wise, and a check that fails names the first offending element.
 """
 
 import math
@@ -39,31 +41,39 @@ def db_to_variance(db):
     return 10.0 ** (-db / 10.0)
 
 
+def _require(ok, values, message):
+    """Raise UnphysicalError naming the first element of values where ok is false.
+
+    ok is a numpy bool or bool array; its own all() is several times cheaper
+    than np.all on the short arrays and scalars of a spectrum chunk.
+    """
+    if not ok.all():
+        raise UnphysicalError(f"{message}, got {np.extract(~ok, values)[0].item()!r}")
+
+
 def variance_to_db(v):
     """Squeezing depth in dB for a relative variance (exact inverse of db_to_variance)."""
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
-        raise UnphysicalError(f"relative variance must be positive, got {v!r}")
-    return -10.0 * math.log10(v)
+    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive")
+    return -10.0 * np.log10(v)
 
 
 def apply_loss(v, eta):
     """Beamsplitter loss on a single-quadrature variance: eta*v + (1 - eta)."""
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
-        raise UnphysicalError(f"relative variance must be positive, got {v!r}")
+    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive")
     eta = check_efficiency(eta)
     return eta * v + (1.0 - eta)
 
 
 @dataclass(frozen=True)
 class SpectralCovariance:
-    """Hermitian 2x2 quadrature noise spectral density at one sideband frequency.
+    """Hermitian 2x2 quadrature noise spectral density at one or many sideband frequencies.
 
     ``s11`` and ``s22`` are the amplitude and phase quadrature variances,
-    ``s12`` the (complex) cross term; the 21 element is its conjugate.
-    Vacuum is the identity.  Pure squeezed vacuum has det = 1 and passive
-    loss can only increase the determinant.
+    ``s12`` the (complex) cross term; the 21 element is its conjugate.  Each
+    is a scalar or a 1-D array over frequency, and they broadcast together;
+    every method but :meth:`matrix` works element-wise.  Vacuum is the
+    identity.  Pure squeezed vacuum has det = 1 and passive loss can only
+    increase the determinant.
     """
 
     s11: float
@@ -72,10 +82,8 @@ class SpectralCovariance:
 
     def __post_init__(self):
         for label, value in (("s11", self.s11), ("s22", self.s22)):
-            if not math.isfinite(value) or value < 0.0:
-                raise UnphysicalError(f"{label} must be finite and >= 0, got {value!r}")
-        if not (math.isfinite(self.s12.real) and math.isfinite(self.s12.imag)):
-            raise UnphysicalError(f"s12 must be finite, got {self.s12!r}")
+            _require(np.isfinite(value) & (value >= 0.0), value, f"{label} must be finite and >= 0")
+        _require(np.isfinite(self.s12), self.s12, "s12 must be finite")
 
     @classmethod
     def vacuum(cls):
@@ -83,7 +91,7 @@ class SpectralCovariance:
 
     @classmethod
     def diagonal(cls, s11, s22):
-        return cls(float(s11), float(s22), 0j)
+        return cls(s11, s22, 0j)
 
     @classmethod
     def from_matrix(cls, m, tol=1e-9):
@@ -99,15 +107,17 @@ class SpectralCovariance:
         return cls(m[0, 0].real, m[1, 1].real, complex(0.5 * (m[0, 1] + np.conj(m[1, 0]))))
 
     def matrix(self):
-        """The covariance as a 2x2 complex ndarray."""
+        """The covariance at one frequency as a 2x2 complex ndarray."""
         return np.array([[self.s11, self.s12], [np.conj(self.s12), self.s22]], dtype=complex)
 
     def det(self):
         return self.s11 * self.s22 - abs(self.s12) ** 2
 
     def is_positive_semidefinite(self, tol=1e-9):
-        scale = max(1.0, self.s11, self.s22)
-        return self.s11 >= -tol * scale and self.s22 >= -tol * scale and self.det() >= -tol * scale**2
+        """True where the covariance is positive semidefinite within tol (element-wise)."""
+        scale = np.maximum(1.0, np.maximum(self.s11, self.s22))
+        return ((self.s11 >= -tol * scale) & (self.s22 >= -tol * scale)
+                & (self.det() >= -tol * scale**2))
 
 
 def apply_loss_cov(s, eta):

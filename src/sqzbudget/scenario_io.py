@@ -217,9 +217,10 @@ def parse_scenario(text, name="scenario"):
     """Parse scenario text into a Scenario.
 
     Raises ScenarioParseError for malformed text and UnphysicalError (via the
-    domain types) for well-formed but physically invalid values.
+    domain types) for well-formed but physically invalid values.  A leading
+    UTF-8 byte-order mark is ignored.
     """
-    sections, loss_lines, section_lines = _split_sections(text)
+    sections, loss_lines, section_lines = _split_sections(text.removeprefix("\ufeff"))
     if "source" not in sections:
         raise ScenarioParseError("missing required section [source]")
     source = _build_source(sections["source"])

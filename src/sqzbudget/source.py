@@ -28,6 +28,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .quadcore import SpectralCovariance, UnphysicalError, apply_loss, db_to_variance
 
 PUMP_PARAMETER_LIMIT = 0.99  # V_plus diverges as x -> 1
@@ -109,7 +111,7 @@ def vacuum_source(p):
 
 
 def generated_spectrum(p, omega_hz):
-    """Covariance at the OPA output (escape applied) at sideband omega_hz."""
+    """Covariance at the OPA output (escape applied) at sideband omega_hz (scalar or array)."""
     eta = p.escape()
     u2 = (omega_hz / p.bandwidth_hz) ** 2
     if p.mode == "physical":
@@ -121,10 +123,10 @@ def generated_spectrum(p, omega_hz):
     else:
         v0 = db_to_variance(p.gen_db_at_dc)
         vm_pre = 1.0 - (1.0 - v0) / (1.0 + u2)
-        if vm_pre <= 0.0:
+        if np.any(vm_pre <= 0.0):
             raise UnphysicalError("generated squeezed variance is not positive")
         vm = apply_loss(vm_pre, eta)
         vp = apply_loss(1.0 / vm_pre, eta)
-    if vm <= 0.0:
+    if np.any(vm <= 0.0):
         raise UnphysicalError("generated squeezed variance is not positive")
     return SpectralCovariance.diagonal(vm, vp)

@@ -140,6 +140,8 @@ def test_transfer_rejects_nonpositive_frequency():
         quadrature_transfer(p, 0.0)
     with pytest.raises(ValueError):
         quadrature_transfer(p, -1.0 * MHZ)
+    with pytest.raises(ValueError, match="got 0.0"):
+        quadrature_transfer(p, np.array([1.0, 0.0, -1.0]) * MHZ)
 
 
 def test_rotation_angle_frozen_value():

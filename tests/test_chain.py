@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqzbudget import chain
 from sqzbudget.cavity import CavityParams, derive_rates
 from sqzbudget.chain import (
     CavityStage,
@@ -73,6 +74,14 @@ def test_grid_validation():
         FrequencyGrid(15 * MHZ, 5 * MHZ, 10)
     with pytest.raises(ValueError):
         FrequencyGrid(5 * MHZ, 15 * MHZ, 1)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            FrequencyGrid(5 * MHZ, bad, 10)
+        with pytest.raises(ValueError):
+            FrequencyGrid(bad, 15 * MHZ, 10)
+    for points in (10.0, True, "10"):
+        with pytest.raises(ValueError):
+            FrequencyGrid(5 * MHZ, 15 * MHZ, points)
     g = FrequencyGrid(5 * MHZ, 15 * MHZ, 201)
     f = g.frequencies()
     assert len(f) == 201 and f[0] == 5 * MHZ and f[-1] == 15 * MHZ
@@ -109,6 +118,18 @@ def test_propagate_checks_grid_bounds():
         propagate(sc, 0.5 * MHZ)
     with pytest.raises(ValueError):
         propagate(sc, 21 * MHZ)
+    with pytest.raises(ValueError, match="21000000.0 outside"):
+        propagate(sc, np.array([5.0, 21.0, 22.0]) * MHZ)
+
+
+def test_propagate_names_first_unphysical_frequency(monkeypatch):
+    # a source that is not positive semidefinite at 7 and 9 MHz stands in for a broken stage
+    def broken(p, omega_hz):
+        return SpectralCovariance(np.ones(3), np.ones(3), np.array([0.0, 2.0, 3.0]) + 0j)
+
+    monkeypatch.setattr(chain, "generated_spectrum", broken)
+    with pytest.raises(RuntimeError, match="at 7000000.0 Hz"):
+        propagate(_bare_scenario(), np.array([1.0, 7.0, 9.0]) * MHZ)
 
 
 def test_propagate_tabletop_frozen_values(tabletop):

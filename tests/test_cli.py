@@ -1,9 +1,11 @@
 import io
 import textwrap
+import warnings
 
 import pytest
 
-from sqzbudget.cli import _csv_num, build_parser, entry
+from sqzbudget import chain
+from sqzbudget.cli import _csv_lines, build_parser, entry
 
 from conftest import bundled_scenario_path
 
@@ -14,6 +16,10 @@ def run(argv):
     return code, out.getvalue()
 
 
+def _csv_num(x):
+    return _csv_lines([[x]]).rstrip("\n")
+
+
 def test_csv_number_formatting():
     assert _csv_num(2.798822566307789) == "2.798823"
     assert _csv_num(-1.5) == "-1.500000"
@@ -21,6 +27,11 @@ def test_csv_number_formatting():
     # tiny negatives must not print a minus-zero
     assert _csv_num(-1e-9) == "0.000000"
     assert _csv_num(-4e-7) == "0.000000"
+    assert _csv_num(-0.0) == "0.000000"
+    # 1/128 and 3/128 lie exactly halfway in the sixth decimal: half to even
+    assert _csv_num(0.0078125) == "0.007812"
+    assert _csv_num(-0.0234375) == "-0.023438"
+    assert _csv_lines([[1.0, -4e-7], [-10.0, 0.5]]) == "1.000000,-10.000000\n0.000000,0.500000\n"
 
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600"])
@@ -32,6 +43,15 @@ def test_budget_matches_golden(name, golden_dir):
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum"])
 def test_spectrum_matches_golden(name, golden_dir):
+    code, text = run(["spectrum", bundled_scenario_path(name)])
+    assert code == 0
+    assert text == (golden_dir / f"{name}_spectrum.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum"])
+def test_chunked_spectrum_matches_golden(name, golden_dir, monkeypatch):
+    # 7 leaves a short last chunk on both the 201- and the 10-point grids
+    monkeypatch.setattr(chain, "CHUNK_POINTS", 7)
     code, text = run(["spectrum", bundled_scenario_path(name)])
     assert code == 0
     assert text == (golden_dir / f"{name}_spectrum.csv").read_text(encoding="utf-8")
@@ -127,6 +147,17 @@ def test_bad_spectrum_range_exits_2():
     assert code == 2
     code, _ = run(["spectrum", bundled_scenario_path("tabletop"), "--points", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--fmax-mhz", "inf"), ("--fmin-mhz", "nan")])
+def test_non_finite_spectrum_range_exits_2(flag, value, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["spectrum", bundled_scenario_path("tabletop"), flag, value])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_bad_sweep_range_exits_2():

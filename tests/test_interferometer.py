@@ -1,13 +1,23 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqzbudget import chain
 from sqzbudget.cavity import CavityParams, derive_rates
-from sqzbudget.chain import CavityStage, LossElement, Scenario, homodyne_readout, propagate
+from sqzbudget.chain import (
+    CavityStage,
+    FrequencyGrid,
+    LossElement,
+    Scenario,
+    homodyne_readout,
+    noise_db,
+    propagate,
+)
 from sqzbudget.interferometer import (
     NoiseSpectrum,
     SrcParams,
@@ -17,6 +27,8 @@ from sqzbudget.interferometer import (
 )
 from sqzbudget.quadcore import SpectralCovariance, variance_to_db
 from sqzbudget.source import vacuum_source
+
+from conftest import load_bundled
 
 MHZ = 1e6
 
@@ -164,3 +176,39 @@ def test_filter_cavity_earns_its_keep(tabletop):
     # and the worst frequency is strictly worse than any point with it
     assert min(without_db) < min(with_db)
     assert min(without_db) < 0.0  # actually anti-squeezed near the detuning
+
+
+def _without_cavities(sc):
+    return dataclasses.replace(sc, stages=tuple(
+        s for s in sc.stages if isinstance(s, LossElement)))
+
+
+@pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum", "tabletop_without_cavities"])
+def test_chunked_spectrum_matches_scalar_path(name, monkeypatch):
+    base, _, rest = name.partition("_")
+    sc = load_bundled(base)
+    if rest:
+        sc = _without_cavities(sc)
+    freqs = sc.grid.frequencies()
+    scalar = np.array([variance_to_db(homodyne_readout(propagate(sc, float(f)), sc.homodyne_angle))
+                       for f in freqs])
+    for chunk in (3, 7):  # chunk boundaries fall inside every bundled grid
+        monkeypatch.setattr(chain, "CHUNK_POINTS", chunk)
+        # noise_db is what the CLI prints for chains without a recycling cavity
+        assert np.max(np.abs(noise_db(sc, freqs) - scalar)) <= 1e-12
+        if sc.cavity_stage("src") is not None:
+            ns = snr_spectrum(sc, freqs)
+            assert np.max(np.abs(ns.noise_db - scalar)) <= 1e-12
+            signal = [10.0 * math.log10(signal_gain(SrcParams(sc.cavity_stage("src").params), f))
+                      for f in freqs]
+            assert np.max(np.abs(ns.signal_db - signal)) <= 1e-12
+
+
+def test_spectrum_warns_only_past_quarter_fsr(tabletop):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snr_spectrum(tabletop, tabletop.grid.frequencies())
+    # both 1.21 m cavities sit 10 MHz from the carrier; fsr/4 is ~31 MHz
+    wide = dataclasses.replace(tabletop, grid=FrequencyGrid(5 * MHZ, 25 * MHZ, 41))
+    with pytest.warns(UserWarning, match="fsr/4"):
+        snr_spectrum(wide, wide.grid.frequencies())

@@ -46,6 +46,8 @@ def test_db_rejects_bad_input():
         variance_to_db(0.0)
     with pytest.raises(UnphysicalError):
         variance_to_db(-0.3)
+    with pytest.raises(UnphysicalError, match="got -0.3"):
+        variance_to_db(np.array([1.0, -0.3, 0.0]))
 
 
 def test_apply_loss_endpoints():
@@ -92,6 +94,8 @@ def test_covariance_rejects_bad_values():
         SpectralCovariance(1.0, float("inf"))
     with pytest.raises(UnphysicalError):
         SpectralCovariance(1.0, 1.0, complex("nan"))
+    with pytest.raises(UnphysicalError, match="s22 .* got inf"):
+        SpectralCovariance(np.ones(3), np.array([1.0, float("inf"), -1.0]))
     with pytest.raises(ValueError):
         SpectralCovariance.from_matrix([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):

@@ -161,6 +161,14 @@ def test_content_before_section():
     assert err.line == 1
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    assert parse_scenario("\ufeff" + MINIMAL) == parse_scenario(MINIMAL)
+    path = tmp_path / "bom.scn"
+    path.write_text(MINIMAL, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_scenario(path) == parse_scenario(MINIMAL, name="bom")
+
+
 def test_bad_number():
     err = _err(MINIMAL.replace("5.7", "five"))
     assert "five" in str(err)
