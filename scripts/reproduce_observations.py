@@ -13,7 +13,6 @@ import numpy as np
 
 from sqzbudget import (
     SpectralCovariance,
-    SrcParams,
     apply_loss,
     build_budget,
     db_to_variance,
@@ -21,8 +20,8 @@ from sqzbudget import (
     homodyne_readout,
     load_scenario,
     propagate,
+    quadrature_transfer,
     snr_spectrum,
-    src_squeezing_reflection,
     variance_to_db,
 )
 from sqzbudget.cli import format_budget
@@ -53,7 +52,7 @@ def main():
     state = SpectralCovariance.diagonal(0.1, 10.0)
     depth = [
         variance_to_db(min(np.linalg.eigvalsh(
-            src_squeezing_reflection(SrcParams(src_stage.params), f).apply(state).matrix()
+            quadrature_transfer(src_stage.params, f).apply(state).matrix()
         ).real))
         for f in ns.frequency_hz
     ]

@@ -28,7 +28,7 @@ from .chain import (
     propagate,
     total_efficiency,
 )
-from .interferometer import NoiseSpectrum, SrcParams, signal_gain, snr_spectrum, src_squeezing_reflection
+from .interferometer import NoiseSpectrum, signal_gain, snr_spectrum
 from .quadcore import (
     SpectralCovariance,
     UnphysicalError,
@@ -59,7 +59,6 @@ __all__ = [
     "ScenarioParseError",
     "SourceParams",
     "SpectralCovariance",
-    "SrcParams",
     "TransferPair",
     "UnphysicalError",
     "apply_loss",
@@ -84,7 +83,6 @@ __all__ = [
     "save_scenario",
     "signal_gain",
     "snr_spectrum",
-    "src_squeezing_reflection",
     "total_efficiency",
     "vacuum_source",
     "variance_to_db",

@@ -6,7 +6,6 @@ printed with 2 decimals in tables and 6 decimals in CSV.
 """
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -55,25 +54,16 @@ def cmd_budget(args, out):
 
 def cmd_spectrum(args, out):
     sc = load_scenario(args.scenario)
-    if args.fmin_mhz is not None or args.fmax_mhz is not None or args.points is not None:
-        grid = sc.grid
-        grid = chain.FrequencyGrid(
-            fmin_hz=(args.fmin_mhz * 1e6 if args.fmin_mhz is not None else grid.fmin_hz),
-            fmax_hz=(args.fmax_mhz * 1e6 if args.fmax_mhz is not None else grid.fmax_hz),
-            points=(args.points if args.points is not None else grid.points),
-        )
-        sc = dataclasses.replace(sc, grid=grid)
-    freqs = sc.grid.frequencies()
-    if sc.cavity_stage("src") is not None:
-        ns = interferometer.snr_spectrum(sc, freqs)
-        columns = (freqs / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
-    else:
-        # no recycling cavity: flat unit signal gain, improvement = suppression
-        noise = chain.noise_db(sc, freqs)
-        columns = (freqs / 1e6, noise, np.zeros_like(noise), noise)
+    grid = chain.FrequencyGrid(
+        fmin_hz=(args.fmin_mhz * 1e6 if args.fmin_mhz is not None else sc.grid.fmin_hz),
+        fmax_hz=(args.fmax_mhz * 1e6 if args.fmax_mhz is not None else sc.grid.fmax_hz),
+        points=(args.points if args.points is not None else sc.grid.points),
+    )
+    ns = interferometer.snr_spectrum(sc, grid.frequencies())
+    columns = (ns.frequency_hz / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
     out.write("frequency_mhz,noise_db,signal_db,snr_improvement_db\n")
     # chunked like the propagation, so the text built at once does not grow with the grid
-    for start in range(0, freqs.size, chain.CHUNK_POINTS):
+    for start in range(0, ns.frequency_hz.size, chain.CHUNK_POINTS):
         out.write(_csv_lines([c[start:start + chain.CHUNK_POINTS] for c in columns]))
     return 0
 

@@ -16,49 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cavity as _cavity
 from . import chain as _chain
 
 
-@dataclass(frozen=True)
-class SrcParams:
-    """Signal-recycling cavity plus the injected test-signal amplitude.
-
-    signal_injection is a single-sideband amplitude in relative units; the
-    published gain is normalized to unit peak, so it cancels there.
-    """
-
-    cavity: _cavity.CavityParams
-    signal_injection: float = 1.0
-
-    def __post_init__(self):
-        if not self.signal_injection >= 0.0:
-            raise ValueError(f"signal_injection must be >= 0, got {self.signal_injection!r}")
-
-    @classmethod
-    def default(cls, detuning_hz=10e6):
-        """The bundled-scenario recycling cavity: 90% mirror, 1.21 m, 0.3% loss."""
-        p = _cavity.CavityParams(
-            t_in=0.10, loss_rt=0.003, detuning_hz=detuning_hz, length_m=1.21
-        )
-        return cls(cavity=_cavity.derive_rates(p))
-
-
-def src_squeezing_reflection(p, omega_hz):
-    """Two-photon transfer of the squeezed field reflected off the cavity."""
-    return _cavity.quadrature_transfer(_cavity.derive_rates(p.cavity), omega_hz)
-
-
 def signal_gain(p, omega_hz):
-    """Signal power transfer, normalized to 1 at the cavity detuning.
+    """Signal power transfer of a recycling cavity, normalized to 1 at its detuning.
 
-    omega_hz is a scalar or an array; the rates are derived once per call.
-    A single signal sideband at omega_hz sees the Lorentzian resonance
-    g = hwhm^2 / (hwhm^2 + (omega - detuning)^2).
+    p is a CavityParams with derived rates (as held by a CavityStage);
+    omega_hz is a scalar or an array.  A single signal sideband at omega_hz
+    sees the Lorentzian resonance g = hwhm^2 / (hwhm^2 + (omega - detuning)^2).
     """
-    q = _cavity.derive_rates(p.cavity)
-    h = q.hwhm_hz
-    d = omega_hz - q.detuning_hz
+    if p.hwhm_hz is None:
+        raise ValueError("cavity rates not derived; call derive_rates first")
+    h = p.hwhm_hz
+    d = omega_hz - p.detuning_hz
     return h * h / (h * h + d * d)
 
 
@@ -84,18 +55,23 @@ class NoiseSpectrum:
 
 
 def snr_spectrum(sc, frequencies):
-    """Noise, signal, and SNR-improvement spectra of a recycling scenario.
+    """Noise, signal, and SNR-improvement spectra of any chain.
 
-    Noise is referenced to shot noise, the vacuum fixed point of the chain
-    (see :func:`sqzbudget.chain.noise_db`).  The signal path is untouched by
-    squeezing, hence the improvement column equals the noise suppression.
+    frequencies is any finite, positive scalar or 1-D array in Hz, strictly
+    increasing; it need not lie on the scenario's display grid.  Noise is
+    referenced to shot noise, the vacuum fixed point of the chain (see
+    :func:`sqzbudget.chain.noise_db`).  The signal is the recycling cavity's
+    response, or flat 0 dB for a chain without one.  The signal path is
+    untouched by squeezing, hence the improvement column equals the noise
+    suppression.
     """
-    stage = sc.cavity_stage("src")
-    if stage is None:
-        raise ValueError("scenario has no signal-recycling cavity stage")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     noise = _chain.noise_db(sc, freqs)
-    signal = 10.0 * np.log10(signal_gain(SrcParams(cavity=stage.params), freqs))
+    stage = sc.cavity_stage("src")
+    if stage is None:
+        signal = np.zeros_like(noise)
+    else:
+        signal = 10.0 * np.log10(signal_gain(stage.params, freqs))
     return NoiseSpectrum(
         frequency_hz=freqs,
         noise_db=noise,

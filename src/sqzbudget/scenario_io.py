@@ -37,6 +37,7 @@ Example::
 """
 
 import math
+import pathlib
 
 from .cavity import CavityParams, derive_rates
 from .chain import CATEGORIES, CavityStage, FrequencyGrid, LossElement, Scenario
@@ -119,6 +120,14 @@ def _split_sections(text):
     return sections, loss_lines, section_lines
 
 
+def _num(table, key):
+    """The key's value as a finite float, or None when the key is absent."""
+    if key not in table:
+        return None
+    value, lineno = table[key]
+    return _parse_float(value, lineno)
+
+
 def _check_keys(section, table, allowed):
     for key, (_, lineno) in table.items():
         if key not in allowed:
@@ -128,46 +137,34 @@ def _check_keys(section, table, allowed):
 def _build_source(table):
     _check_keys("source", table, _SOURCE_KEYS)
 
-    def num(key):
-        if key not in table:
-            return None
-        value, lineno = table[key]
-        return _parse_float(value, lineno)
-
     if "mode" not in table:
         raise ScenarioParseError("[source] needs a mode (direct or physical)")
     if "bandwidth_mhz" not in table:
         raise ScenarioParseError("[source] needs bandwidth_mhz")
-    bandwidth_mhz = num("bandwidth_mhz")
+    bandwidth_mhz = _num(table, "bandwidth_mhz")
     return SourceParams(
         mode=table["mode"][0],
         bandwidth_hz=bandwidth_mhz * 1e6,
-        gen_db_at_dc=num("gen_db_at_dc"),
-        classical_gain=num("classical_gain"),
-        t_out=num("t_out"),
-        loss_rt=num("loss_rt"),
-        escape_eta=num("escape_eta"),
+        gen_db_at_dc=_num(table, "gen_db_at_dc"),
+        classical_gain=_num(table, "classical_gain"),
+        t_out=_num(table, "t_out"),
+        loss_rt=_num(table, "loss_rt"),
+        escape_eta=_num(table, "escape_eta"),
     )
 
 
 def _build_cavity(section, table):
     _check_keys(section, table, _CAVITY_KEYS)
 
-    def num(key):
-        if key not in table:
-            return None
-        value, lineno = table[key]
-        return _parse_float(value, lineno)
-
     def mhz(key):
-        value = num(key)
+        value = _num(table, key)
         return None if value is None else value * 1e6
 
     params = CavityParams(
-        t_in=num("t_in"),
-        loss_rt=num("loss_rt") or 0.0,
+        t_in=_num(table, "t_in"),
+        loss_rt=_num(table, "loss_rt") or 0.0,
         detuning_hz=mhz("detuning_mhz") or 0.0,
-        length_m=num("length_m"),
+        length_m=_num(table, "length_m"),
         fsr_hz=mhz("fsr_mhz"),
         hwhm_hz=mhz("hwhm_mhz"),
     )
@@ -259,8 +256,6 @@ def parse_scenario(text, name="scenario"):
 
 def load_scenario(path):
     """Read and parse a scenario file; the scenario name is the file stem."""
-    import pathlib
-
     p = pathlib.Path(path)
     return parse_scenario(p.read_text(encoding="utf-8"), name=p.stem)
 
@@ -341,6 +336,4 @@ def format_scenario(sc):
 
 
 def save_scenario(sc, path):
-    import pathlib
-
     pathlib.Path(path).write_text(format_scenario(sc), encoding="utf-8")

@@ -22,7 +22,7 @@ from sqzbudget.chain import (
     total_efficiency,
 )
 from sqzbudget.cli import entry
-from sqzbudget.interferometer import SrcParams, signal_gain, snr_spectrum
+from sqzbudget.interferometer import signal_gain, snr_spectrum
 from sqzbudget.quadcore import (
     apply_loss,
     apply_loss_cov,
@@ -131,7 +131,7 @@ def test_criterion_6_property_suite(tabletop):
     freqs = np.linspace(5 * MHZ, 15 * MHZ, 201)
     step = freqs[1] - freqs[0]
     for d in (6.0, 9.7, 10.0, 13.3):
-        p = SrcParams(cavity=CavityParams(detuning_hz=d * MHZ, hwhm_hz=1.0 * MHZ))
+        p = CavityParams(detuning_hz=d * MHZ, hwhm_hz=1.0 * MHZ)
         gains = [signal_gain(p, f) for f in freqs]
         assert abs(freqs[int(np.argmax(gains))] - d * MHZ) <= step
 

@@ -112,14 +112,17 @@ def test_propagate_vacuum_through_nothing():
         assert s.s11 == 1.0 and s.s22 == 1.0 and s.s12 == 0j
 
 
-def test_propagate_checks_grid_bounds():
-    sc = _bare_scenario()
-    with pytest.raises(ValueError):
-        propagate(sc, 0.5 * MHZ)
-    with pytest.raises(ValueError):
-        propagate(sc, 21 * MHZ)
-    with pytest.raises(ValueError, match="21000000.0 outside"):
-        propagate(sc, np.array([5.0, 21.0, 22.0]) * MHZ)
+def test_propagate_checks_frequency_domain(tabletop):
+    # the display grids (1-20 and 5-15 MHz) do not bound the physics
+    assert np.all(propagate(_bare_scenario(), np.array([0.5, 21.0, 400.0]) * MHZ).s11 > 0.0)
+    for sc in (_bare_scenario(), tabletop):
+        assert propagate(sc, 0.5 * MHZ).s11 > 0.0
+        assert np.all(propagate(sc, np.array([0.5, 4.0, 16.0]) * MHZ).s11 > 0.0)
+        for bad in (0.0, -1 * MHZ, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                propagate(sc, bad)
+        with pytest.raises(ValueError, match=r"got -1000000\.0$"):
+            propagate(sc, np.array([5.0, -1.0, 0.0, math.nan]) * MHZ)
 
 
 def test_propagate_names_first_unphysical_frequency(monkeypatch):

@@ -1,9 +1,14 @@
 import io
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 import warnings
 
 import pytest
 
+import sqzbudget
 from sqzbudget import chain
 from sqzbudget.cli import _csv_lines, build_parser, entry
 
@@ -55,6 +60,23 @@ def test_chunked_spectrum_matches_golden(name, golden_dir, monkeypatch):
     code, text = run(["spectrum", bundled_scenario_path(name)])
     assert code == 0
     assert text == (golden_dir / f"{name}_spectrum.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["budget", bundled_scenario_path("tabletop")], "tabletop_budget.txt"),
+    (["spectrum", bundled_scenario_path("geo600")], "geo600_spectrum.csv"),
+    (["sweep", "--input-db", "10"], "sweep_input_10.csv"),
+], ids=["budget-tabletop", "spectrum-geo600", "sweep-10"])
+def test_module_entry_point_matches_golden(argv, golden, golden_dir):
+    # a fresh ``python -m sqzbudget`` process, as a user starts it
+    src = str(pathlib.Path(sqzbudget.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sqzbudget", *argv],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout == (golden_dir / golden).read_bytes()
 
 
 @pytest.mark.parametrize("input_db", ["5.7", "10", "13"])
@@ -141,12 +163,23 @@ def test_unphysical_scenario_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_spectrum_range_exits_2():
+def test_bad_spectrum_range_exits_2(capsys):
     code, _ = run(["spectrum", bundled_scenario_path("tabletop"),
                    "--fmin-mhz", "15", "--fmax-mhz", "5"])
     assert code == 2
     code, _ = run(["spectrum", bundled_scenario_path("tabletop"), "--points", "1"])
     assert code == 2
+    capsys.readouterr()
+    # linspace repeats values on this range; chains with and without a recycling cavity agree
+    for name in ("geo600", "tabletop"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["spectrum", bundled_scenario_path(name), "--fmin-mhz", "1",
+                              "--fmax-mhz", "1.000000000000001", "--points", "50"])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("flag,value", [("--fmax-mhz", "inf"), ("--fmin-mhz", "nan")])

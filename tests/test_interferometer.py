@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqzbudget import chain
-from sqzbudget.cavity import CavityParams, derive_rates
+from sqzbudget.cavity import CavityParams, derive_rates, quadrature_transfer
 from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
@@ -18,13 +18,7 @@ from sqzbudget.chain import (
     noise_db,
     propagate,
 )
-from sqzbudget.interferometer import (
-    NoiseSpectrum,
-    SrcParams,
-    signal_gain,
-    snr_spectrum,
-    src_squeezing_reflection,
-)
+from sqzbudget.interferometer import NoiseSpectrum, signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, variance_to_db
 from sqzbudget.source import vacuum_source
 
@@ -33,22 +27,12 @@ from conftest import load_bundled
 MHZ = 1e6
 
 
-def test_default_recycling_cavity():
-    p = SrcParams.default()
-    assert p.cavity.detuning_hz == 10 * MHZ
-    assert p.cavity.hwhm_hz == pytest.approx(1068409.4727756338, rel=1e-13)
-    assert p.signal_injection == 1.0
-    with pytest.raises(ValueError):
-        SrcParams(cavity=p.cavity, signal_injection=-1.0)
-
-
 def test_lossless_reflection_preserves_squeezing_magnitude():
     cav = CavityParams(t_in=0.1, detuning_hz=10 * MHZ,
                        hwhm_hz=1.039 * MHZ)
-    p = SrcParams(cavity=cav)
     state = SpectralCovariance.diagonal(0.1, 10.0)
     for f_mhz in (5.0, 9.0, 10.0, 11.0, 15.0):
-        out = src_squeezing_reflection(p, f_mhz * MHZ).apply(state)
+        out = quadrature_transfer(cav, f_mhz * MHZ).apply(state)
         eig = np.linalg.eigvalsh(out.matrix()).real
         assert min(eig) == pytest.approx(0.1, rel=1e-10)
         assert max(eig) == pytest.approx(10.0, rel=1e-10)
@@ -56,41 +40,42 @@ def test_lossless_reflection_preserves_squeezing_magnitude():
 
 def test_far_detuned_reflection_is_minus_identity():
     cav = CavityParams(t_in=0.1, detuning_hz=10 * MHZ, hwhm_hz=0.1 * MHZ)
-    pair = src_squeezing_reflection(SrcParams(cavity=cav), 300 * MHZ)
+    pair = quadrature_transfer(cav, 300 * MHZ)
     assert np.allclose(pair.t, -np.eye(2), atol=1e-3)
     state = SpectralCovariance.diagonal(0.1, 10.0)
     out = pair.apply(state)
     assert out.s11 == pytest.approx(0.1, rel=1e-4)
 
 
-def test_lossy_reflection_dips_at_detuning():
-    p = SrcParams.default()
+def test_lossy_reflection_dips_at_detuning(tabletop):
+    p = tabletop.cavity_stage("src").params
     state = SpectralCovariance.diagonal(0.1, 10.0)
     freqs = np.linspace(5 * MHZ, 15 * MHZ, 401)
     depth = []
     for f in freqs:
-        out = src_squeezing_reflection(p, f).apply(state)
+        out = quadrature_transfer(p, f).apply(state)
         depth.append(variance_to_db(min(np.linalg.eigvalsh(out.matrix()).real)))
     worst = freqs[int(np.argmin(depth))]
-    assert abs(worst - p.cavity.detuning_hz) <= p.cavity.hwhm_hz
+    assert abs(worst - p.detuning_hz) <= p.hwhm_hz
     assert min(depth) < depth[0]
 
 
 def test_signal_gain_shape():
-    cav = CavityParams(detuning_hz=10 * MHZ, hwhm_hz=1.039 * MHZ)
-    p = SrcParams(cavity=cav)
+    p = CavityParams(detuning_hz=10 * MHZ, hwhm_hz=1.039 * MHZ)
     assert signal_gain(p, 10 * MHZ) == 1.0
     assert signal_gain(p, 10 * MHZ + 1.039 * MHZ) == pytest.approx(0.5, rel=1e-12)
     assert signal_gain(p, 10 * MHZ - 1.039 * MHZ) == pytest.approx(0.5, rel=1e-12)
     g = signal_gain(p, 5 * MHZ)
     assert g == pytest.approx(0.041393436635588514, rel=1e-12)
     assert 10 * math.log10(g) == pytest.approx(-13.83, abs=0.01)
+    # rates are not derived here: geometry alone is not enough
+    with pytest.raises(ValueError, match="rates not derived"):
+        signal_gain(CavityParams(t_in=0.1, detuning_hz=10 * MHZ, length_m=1.21), 10 * MHZ)
 
 
 @given(st.floats(min_value=6.0, max_value=14.0))
 def test_signal_gain_peaks_at_detuning(detuning_mhz):
-    cav = CavityParams(detuning_hz=detuning_mhz * MHZ, hwhm_hz=1.0 * MHZ)
-    p = SrcParams(cavity=cav)
+    p = CavityParams(detuning_hz=detuning_mhz * MHZ, hwhm_hz=1.0 * MHZ)
     freqs = np.linspace(5 * MHZ, 15 * MHZ, 201)
     gains = [signal_gain(p, f) for f in freqs]
     step = freqs[1] - freqs[0]
@@ -105,11 +90,14 @@ def test_noise_spectrum_validation():
         NoiseSpectrum(np.array([2.0, 1.0, 3.0]), np.zeros(3), np.zeros(3), np.zeros(3))
 
 
-def test_snr_spectrum_requires_recycling_stage(tabletop):
+def test_snr_spectrum_without_recycling_stage_has_flat_signal(tabletop):
     bare = dataclasses.replace(tabletop, stages=tuple(
         s for s in tabletop.stages if isinstance(s, LossElement)))
-    with pytest.raises(ValueError):
-        snr_spectrum(bare, [10 * MHZ])
+    freqs = [5 * MHZ, 10 * MHZ, 14 * MHZ]
+    ns = snr_spectrum(bare, freqs)
+    assert np.array_equal(ns.signal_db, np.zeros(3))
+    assert np.array_equal(ns.noise_db, noise_db(bare, freqs))
+    assert np.array_equal(ns.snr_improvement_db, ns.noise_db)
 
 
 def test_snr_spectrum_tabletop_values(tabletop):
@@ -194,12 +182,11 @@ def test_chunked_spectrum_matches_scalar_path(name, monkeypatch):
                        for f in freqs])
     for chunk in (3, 7):  # chunk boundaries fall inside every bundled grid
         monkeypatch.setattr(chain, "CHUNK_POINTS", chunk)
-        # noise_db is what the CLI prints for chains without a recycling cavity
         assert np.max(np.abs(noise_db(sc, freqs) - scalar)) <= 1e-12
+        ns = snr_spectrum(sc, freqs)
+        assert np.max(np.abs(ns.noise_db - scalar)) <= 1e-12
         if sc.cavity_stage("src") is not None:
-            ns = snr_spectrum(sc, freqs)
-            assert np.max(np.abs(ns.noise_db - scalar)) <= 1e-12
-            signal = [10.0 * math.log10(signal_gain(SrcParams(sc.cavity_stage("src").params), f))
+            signal = [10.0 * math.log10(signal_gain(sc.cavity_stage("src").params, f))
                       for f in freqs]
             assert np.max(np.abs(ns.signal_db - signal)) <= 1e-12
 
