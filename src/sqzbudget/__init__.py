@@ -9,7 +9,6 @@ is normalized to shot noise; squeezing in dB is positive below shot noise.
 from .cavity import (
     CavityParams,
     TransferPair,
-    derive_rates,
     finesse,
     quadrature_transfer,
     reflection,
@@ -65,7 +64,6 @@ __all__ = [
     "apply_loss_cov",
     "build_budget",
     "db_to_variance",
-    "derive_rates",
     "efficiency_sweep",
     "escape_efficiency",
     "finesse",

@@ -11,9 +11,10 @@ relation
 
 with kappa_tot = 2*pi*hwhm_hz and kappa_in/kappa_tot = t_in/(t_in + loss_rt),
 i.e. the Lorentzian half width is pinned to the hwhm derived from the mirror
-finesse.  This drops the free-spectral-range periodicity of the full Airy
-response, which is a good approximation while |omega - detuning| stays well
-below the FSR; :func:`reflection` warns once past fsr/4.
+finesse when a :class:`CavityParams` is built.  This drops the
+free-spectral-range periodicity of the full Airy response, which is a good
+approximation while |omega - detuning| stays well below the FSR;
+:func:`reflection` warns once past fsr/4.
 
 A detuned cavity treats the two sidebands of a quadrature pair differently.
 In the two-photon picture the quadrature-domain transfer at sideband
@@ -32,7 +33,7 @@ frequency axis last, so ``t[i, j]`` is one element across all frequencies.
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +47,11 @@ class CavityParams:
     """Physical description of a single-ended cavity.
 
     ``t_in`` is the input-coupler power transmission, ``loss_rt`` the
-    round-trip power loss through all other channels.  ``fsr_hz`` and
-    ``hwhm_hz`` are derived from the geometry by :func:`derive_rates`
-    unless given directly (a cavity may be specified by hwhm alone).
+    round-trip power loss through all other channels.  Construction
+    completes the rates: fsr = c/(2L) unless ``fsr_hz`` is given, and
+    hwhm = fsr/(2*finesse) unless ``hwhm_hz`` is given (explicit
+    configuration wins over geometry, so a cavity may be specified by hwhm
+    alone).  A lossy cavity needs ``t_in`` to fix its coupling ratio.
     """
 
     t_in: float | None = None
@@ -69,6 +72,15 @@ class CavityParams:
                              ("hwhm_hz", self.hwhm_hz)):
             if value is not None and value <= 0.0:
                 raise UnphysicalError(f"{label} must be positive, got {value!r}")
+        if self.fsr_hz is None and self.length_m is not None:
+            object.__setattr__(self, "fsr_hz", SPEED_OF_LIGHT / (2.0 * self.length_m))
+        if self.hwhm_hz is None:
+            if self.fsr_hz is None or self.t_in is None:
+                raise ValueError("need length_m (or fsr_hz) and t_in to derive cavity rates")
+            hwhm = self.fsr_hz / (2.0 * finesse(self.t_in, self.loss_rt))
+            object.__setattr__(self, "hwhm_hz", hwhm)
+        if self.loss_rt != 0.0 and self.t_in is None:
+            raise ValueError("a lossy cavity needs t_in to fix the coupling ratio")
 
 
 def finesse(t_in, loss_rt=0.0):
@@ -80,36 +92,15 @@ def finesse(t_in, loss_rt=0.0):
     return math.pi * math.sqrt(r1 * r2) / (1.0 - r1 * r2)
 
 
-def derive_rates(p):
-    """Complete a CavityParams with fsr_hz and hwhm_hz.
-
-    fsr = c/(2L); hwhm = fsr/(2*finesse).  A directly specified hwhm_hz is
-    kept as-is (explicit configuration wins over geometry).
-    """
-    fsr = p.fsr_hz
-    if fsr is None and p.length_m is not None:
-        fsr = SPEED_OF_LIGHT / (2.0 * p.length_m)
-    if p.hwhm_hz is not None:
-        return replace(p, fsr_hz=fsr)
-    if fsr is None or p.t_in is None:
-        raise ValueError("need length_m (or fsr_hz) and t_in to derive cavity rates")
-    hwhm = fsr / (2.0 * finesse(p.t_in, p.loss_rt))
-    return replace(p, fsr_hz=fsr, hwhm_hz=hwhm)
-
-
 def _coupling(p):
     """Fraction of the total decay rate that goes through the input coupler."""
     if p.loss_rt == 0.0:
         return 1.0
-    if p.t_in is None:
-        raise ValueError("a lossy cavity needs t_in to fix the coupling ratio")
     return p.t_in / (p.t_in + p.loss_rt)
 
 
 def reflection(p, omega_hz):
     """Complex amplitude reflectivity at signed sideband frequency omega_hz."""
-    if p.hwhm_hz is None:
-        raise ValueError("cavity rates not derived; call derive_rates first")
     delta = omega_hz - p.detuning_hz
     if p.fsr_hz is not None and np.any(np.abs(delta) >= p.fsr_hz / 4.0):
         warnings.warn(

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import cavity as _cavity
 from .quadcore import (
-    SpectralCovariance,
     apply_loss,
     apply_loss_cov,
     check_efficiency,
@@ -63,8 +62,6 @@ class CavityStage:
     def __post_init__(self):
         if self.role not in CAVITY_ROLES:
             raise ValueError(f"cavity role must be one of {CAVITY_ROLES}, got {self.role!r}")
-        if self.params.hwhm_hz is None:
-            raise ValueError("cavity stages need derived rates (hwhm_hz)")
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,7 @@ def total_efficiency(elements):
     """Product of element efficiencies; 1.0 for an empty chain."""
     total = 1.0
     for e in elements:
-        total *= check_efficiency(e.eta, f"loss element {e.name!r}")
+        total *= e.eta
     return total
 
 

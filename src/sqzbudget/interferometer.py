@@ -22,12 +22,10 @@ from . import chain as _chain
 def signal_gain(p, omega_hz):
     """Signal power transfer of a recycling cavity, normalized to 1 at its detuning.
 
-    p is a CavityParams with derived rates (as held by a CavityStage);
-    omega_hz is a scalar or an array.  A single signal sideband at omega_hz
+    p is a CavityParams, whose rates are derived when it is built; omega_hz
+    is a scalar or an array.  A single signal sideband at omega_hz
     sees the Lorentzian resonance g = hwhm^2 / (hwhm^2 + (omega - detuning)^2).
     """
-    if p.hwhm_hz is None:
-        raise ValueError("cavity rates not derived; call derive_rates first")
     h = p.hwhm_hz
     d = omega_hz - p.detuning_hz
     return h * h / (h * h + d * d)

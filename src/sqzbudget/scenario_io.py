@@ -39,7 +39,7 @@ Example::
 import math
 import pathlib
 
-from .cavity import CavityParams, derive_rates
+from .cavity import CavityParams
 from .chain import CATEGORIES, CavityStage, FrequencyGrid, LossElement, Scenario
 from .source import SourceParams
 
@@ -160,7 +160,7 @@ def _build_cavity(section, table):
         value = _num(table, key)
         return None if value is None else value * 1e6
 
-    params = CavityParams(
+    return CavityParams(
         t_in=_num(table, "t_in"),
         loss_rt=_num(table, "loss_rt") or 0.0,
         detuning_hz=mhz("detuning_mhz") or 0.0,
@@ -168,7 +168,6 @@ def _build_cavity(section, table):
         fsr_hz=mhz("fsr_mhz"),
         hwhm_hz=mhz("hwhm_mhz"),
     )
-    return derive_rates(params)
 
 
 def _build_losses(loss_lines, cavities, section_lines):
@@ -280,11 +279,10 @@ def _cavity_lines(params):
         lines.append(f"fsr_mhz = {_fmt(params.fsr_hz / 1e6)}")
     # emit hwhm only when the geometric keys cannot reproduce it exactly
     try:
-        rederived = derive_rates(CavityParams(
+        implied = CavityParams(
             t_in=params.t_in, loss_rt=params.loss_rt, detuning_hz=params.detuning_hz,
             length_m=params.length_m, fsr_hz=None if params.length_m is not None else params.fsr_hz,
-        ))
-        implied = rederived.hwhm_hz
+        ).hwhm_hz
     except (ValueError, ArithmeticError):
         implied = None
     if params.hwhm_hz is not None and implied != params.hwhm_hz:

@@ -60,7 +60,8 @@ class SourceParams:
 
     mode is "direct" or "physical".  The escape efficiency may be given
     directly (``escape_eta``) or via the coupler/loss pair
-    (``t_out``, ``loss_rt``).  ``bandwidth_hz`` is the OPA cavity HWHM.
+    (``t_out``, ``loss_rt``); either is validated once, when the params
+    are built.  ``bandwidth_hz`` is the OPA cavity HWHM.
     """
 
     mode: str
@@ -88,14 +89,17 @@ class SourceParams:
                 raise UnphysicalError(
                     f"pump parameter >= {PUMP_PARAMETER_LIMIT} is treated as at threshold"
                 )
+        if self.escape_eta is None:
+            eta = escape_efficiency(self.t_out, self.loss_rt)
+        elif 0.0 <= self.escape_eta <= 1.0:
+            eta = self.escape_eta
+        else:
+            raise UnphysicalError(f"escape_eta must lie in [0, 1], got {self.escape_eta!r}")
+        object.__setattr__(self, "_escape", eta)
 
     def escape(self):
         """Escape efficiency, from escape_eta or the coupler/loss pair."""
-        if self.escape_eta is not None:
-            if not 0.0 <= self.escape_eta <= 1.0:
-                raise UnphysicalError(f"escape_eta must lie in [0, 1], got {self.escape_eta!r}")
-            return self.escape_eta
-        return escape_efficiency(self.t_out, self.loss_rt)
+        return self._escape
 
     def generated_db_at_dc(self):
         """Squeezing depth generated inside the OPA at zero frequency, in dB."""
@@ -116,8 +120,6 @@ def generated_spectrum(p, omega_hz):
     u2 = (omega_hz / p.bandwidth_hz) ** 2
     if p.mode == "physical":
         x = pump_parameter(p.classical_gain)
-        if x >= PUMP_PARAMETER_LIMIT:
-            raise UnphysicalError("OPA pumped at or beyond threshold")
         vm = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + u2)
         vp = 1.0 + eta * 4.0 * x / ((1.0 - x) ** 2 + u2)
     else:

@@ -7,7 +7,6 @@ failing build green defeats the point of the gate.
 """
 
 import io
-import math
 
 import numpy as np
 
@@ -16,22 +15,14 @@ from sqzbudget.chain import (
     FrequencyGrid,
     LossElement,
     Scenario,
-    efficiency_sweep,
     homodyne_readout,
     propagate,
     total_efficiency,
 )
 from sqzbudget.cli import entry
 from sqzbudget.interferometer import signal_gain, snr_spectrum
-from sqzbudget.quadcore import (
-    apply_loss,
-    apply_loss_cov,
-    db_to_variance,
-    variance_to_db,
-)
+from sqzbudget.quadcore import apply_loss, db_to_variance, variance_to_db
 from sqzbudget.source import SourceParams, escape_efficiency, vacuum_source
-
-from conftest import bundled_scenario_path
 
 MHZ = 1e6
 

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqzbudget.cavity import (
+    SPEED_OF_LIGHT,
     CavityParams,
-    derive_rates,
     finesse,
     quadrature_transfer,
     reflection,
@@ -26,19 +26,24 @@ def test_finesse_values():
 
 
 def test_derive_rates_from_geometry():
-    p = derive_rates(CavityParams(t_in=0.1, length_m=1.21))
+    # rates are derived when the params are built: fsr = c/(2L), hwhm = fsr/(2F)
+    p = CavityParams(t_in=0.1, length_m=1.21)
     assert p.fsr_hz == pytest.approx(123881180.99173554, rel=1e-13)
     assert p.hwhm_hz == pytest.approx(1038779.9974564468, rel=1e-13)
-    lossy = derive_rates(CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21))
+    assert p.fsr_hz == SPEED_OF_LIGHT / (2.0 * 1.21)
+    assert p.hwhm_hz == p.fsr_hz / (2.0 * finesse(0.1))
+    # a given fsr wins over the length
+    assert CavityParams(t_in=0.1, length_m=1.21, fsr_hz=200.0 * MHZ).fsr_hz == 200.0 * MHZ
+    lossy = CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21)
     assert lossy.hwhm_hz == pytest.approx(1068409.4727756338, rel=1e-13)
 
 
 def test_derive_rates_keeps_explicit_hwhm():
-    p = derive_rates(CavityParams(t_in=0.1, length_m=1.21, hwhm_hz=2.0 * MHZ))
+    p = CavityParams(t_in=0.1, length_m=1.21, hwhm_hz=2.0 * MHZ)
     assert p.hwhm_hz == 2.0 * MHZ
     assert p.fsr_hz is not None
-    with pytest.raises(ValueError):
-        derive_rates(CavityParams(detuning_hz=1.0 * MHZ))
+    with pytest.raises(ValueError, match="need length_m"):
+        CavityParams(detuning_hz=1.0 * MHZ)
 
 
 def test_params_validation():
@@ -48,6 +53,9 @@ def test_params_validation():
         CavityParams(t_in=0.5, loss_rt=0.6)
     with pytest.raises(UnphysicalError):
         CavityParams(length_m=-1.0)
+    # deriving the hwhm of an uncoupled cavity fails at construction too
+    with pytest.raises(UnphysicalError):
+        CavityParams(t_in=0.0, length_m=1.21)
 
 
 def test_reflection_lossless_shape():
@@ -62,21 +70,28 @@ def test_reflection_lossless_shape():
 
 
 def test_reflection_lossy_dip_on_resonance():
-    p = derive_rates(CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=10.0 * MHZ,
-                                  length_m=1.21))
+    p = CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=10.0 * MHZ, length_m=1.21)
     r = reflection(p, 10.0 * MHZ)
     assert r.imag == 0.0
     assert r.real == pytest.approx(0.94174757281553398, rel=1e-13)
     assert abs(r) ** 2 == pytest.approx(0.88688849090394948, rel=1e-13)
 
 
-def test_reflection_requires_rates():
-    with pytest.raises(ValueError):
-        reflection(CavityParams(t_in=0.1, length_m=1.21), 1.0 * MHZ)
+def test_params_refuse_missing_rates():
+    # t_in without geometry, or geometry without t_in, leaves the hwhm open
+    for kwargs in ({"t_in": 0.1}, {"length_m": 1.21}, {"fsr_hz": 100.0 * MHZ},
+                   {"loss_rt": 0.003, "length_m": 1.21}):
+        with pytest.raises(ValueError, match="need length_m"):
+            CavityParams(detuning_hz=1.0 * MHZ, **kwargs)
+    # given by hwhm alone, a lossy cavity has no coupling ratio
+    with pytest.raises(ValueError, match="a lossy cavity needs t_in"):
+        CavityParams(loss_rt=0.003, hwhm_hz=1.0 * MHZ)
+    lossless = CavityParams(hwhm_hz=1.0 * MHZ)
+    assert lossless.fsr_hz is None and reflection(lossless, 0.0) == 1.0
 
 
 def test_reflection_warns_past_quarter_fsr():
-    p = derive_rates(CavityParams(t_in=0.1, length_m=1.21))
+    p = CavityParams(t_in=0.1, length_m=1.21)
     with pytest.warns(UserWarning):
         reflection(p, 40.0 * MHZ)
 
@@ -120,8 +135,7 @@ def test_transfer_applied_to_squeezing_frozen_values():
 
 
 def test_lossy_transfer_frozen_values():
-    p = derive_rates(CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=10.0 * MHZ,
-                                  length_m=1.21))
+    p = CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=10.0 * MHZ, length_m=1.21)
     pair = quadrature_transfer(p, 10.0 * MHZ)
     assert pair.n[0, 0] == pytest.approx(0.056716691090936737, rel=1e-12)
     assert pair.n[1, 1] == pytest.approx(0.056716691090936737, rel=1e-12)
@@ -150,7 +164,7 @@ def test_rotation_angle_frozen_value():
 
 
 def test_rotation_angle_refuses_lossy_cavity():
-    p = derive_rates(CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21))
+    p = CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21)
     with pytest.raises(ValueError):
         rotation_angle(p, 10.0 * MHZ)
 

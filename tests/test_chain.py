@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqzbudget import chain
-from sqzbudget.cavity import CavityParams, derive_rates
+from sqzbudget.cavity import CavityParams
 from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
@@ -96,13 +96,13 @@ def _bare_scenario(stages=(), source=None):
 
 
 def test_scenario_rejects_duplicate_roles():
-    cav = derive_rates(CavityParams(t_in=0.1, length_m=1.21))
+    cav = CavityParams(t_in=0.1, length_m=1.21)
     with pytest.raises(ValueError):
         _bare_scenario(stages=(CavityStage("src", cav), CavityStage("src", cav)))
     with pytest.raises(ValueError):
         CavityStage("recycling", cav)
-    with pytest.raises(ValueError):
-        CavityStage("src", CavityParams(t_in=0.1, length_m=1.21))  # rates not derived
+    with pytest.raises(ValueError, match="need length_m"):
+        CavityStage("src", CavityParams(t_in=0.1))  # no rates, refused by the params
 
 
 def test_propagate_vacuum_through_nothing():

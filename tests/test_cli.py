@@ -163,6 +163,61 @@ def test_unphysical_scenario_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _direct_scenario(tmp_path, rest):
+    """Path of a file with a direct-mode [source] section followed by ``rest``."""
+    scn = tmp_path / "scenario.scn"
+    scn.write_text(textwrap.dedent("""\
+        [source]
+        mode = direct
+        gen_db_at_dc = 5.7
+        bandwidth_mhz = 20
+        """) + rest, encoding="utf-8")
+    return str(scn)
+
+
+def _only_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def test_lossy_cavity_without_t_in_is_refused_at_load(tmp_path, capsys):
+    # hwhm fixes the rates but not the coupling ratio of a lossy cavity;
+    # budget, which never reflects off the cavity, refuses the file as well
+    scn = _direct_scenario(tmp_path, "escape_eta = 0.9\n" + textwrap.dedent("""
+        [src]
+        loss_rt = 0.003
+        detuning_mhz = 10
+        hwhm_mhz = 1.0
+
+        [losses]
+        src = @cavity
+        """))
+    for command in ("budget", "spectrum"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run([command, scn])
+        assert code == 2
+        assert text == ""
+        assert _only_error_line(capsys) == (
+            "error: a lossy cavity needs t_in to fix the coupling ratio")
+
+
+@pytest.mark.parametrize("escape,message", [
+    ("escape_eta = 1.3\n", "error: escape_eta must lie in [0, 1], got 1.3"),
+    ("t_out = 0.0\nloss_rt = 0.01\n", "error: t_out = 0 means nothing escapes the cavity"),
+])
+def test_invalid_escape_exits_3(escape, message, tmp_path, capsys):
+    scn = _direct_scenario(tmp_path, escape)
+    for command in ("budget", "spectrum"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run([command, scn])
+        assert code == 3
+        assert text == ""
+        assert _only_error_line(capsys) == message
+
+
 def test_bad_spectrum_range_exits_2(capsys):
     code, _ = run(["spectrum", bundled_scenario_path("tabletop"),
                    "--fmin-mhz", "15", "--fmax-mhz", "5"])

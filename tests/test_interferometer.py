@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqzbudget import chain
-from sqzbudget.cavity import CavityParams, derive_rates, quadrature_transfer
+from sqzbudget.cavity import CavityParams, quadrature_transfer
 from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
     LossElement,
-    Scenario,
     homodyne_readout,
     noise_db,
     propagate,
@@ -68,9 +67,12 @@ def test_signal_gain_shape():
     g = signal_gain(p, 5 * MHZ)
     assert g == pytest.approx(0.041393436635588514, rel=1e-12)
     assert 10 * math.log10(g) == pytest.approx(-13.83, abs=0.01)
-    # rates are not derived here: geometry alone is not enough
-    with pytest.raises(ValueError, match="rates not derived"):
-        signal_gain(CavityParams(t_in=0.1, detuning_hz=10 * MHZ, length_m=1.21), 10 * MHZ)
+    # rates are derived when the params are built, so geometry alone is enough
+    assert signal_gain(CavityParams(t_in=0.1, detuning_hz=10 * MHZ, length_m=1.21),
+                       10 * MHZ) == 1.0
+    # and params without rates cannot reach signal_gain
+    with pytest.raises(ValueError, match="need length_m"):
+        CavityParams(detuning_hz=10 * MHZ, length_m=1.21)
 
 
 @given(st.floats(min_value=6.0, max_value=14.0))
@@ -128,9 +130,9 @@ def _lossless_variant(tabletop):
     stages = []
     for s in tabletop.stages:
         if isinstance(s, CavityStage) and s.role == "src":
-            lossless = derive_rates(CavityParams(
+            lossless = CavityParams(
                 t_in=s.params.t_in, loss_rt=0.0, detuning_hz=s.params.detuning_hz,
-                length_m=s.params.length_m))
+                length_m=s.params.length_m)
             stages.append(CavityStage("src", lossless))
         else:
             stages.append(s)

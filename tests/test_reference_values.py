@@ -8,7 +8,7 @@ literal cannot hide inside a generous tolerance.
 import mpmath as mp
 import pytest
 
-from sqzbudget.cavity import SPEED_OF_LIGHT, derive_rates, CavityParams, finesse
+from sqzbudget.cavity import SPEED_OF_LIGHT, CavityParams, finesse
 from sqzbudget.quadcore import apply_loss, db_to_variance, variance_to_db
 from sqzbudget.source import escape_efficiency, pump_parameter
 
@@ -33,7 +33,7 @@ def test_cavity_rates_against_high_precision():
     fsr = mp.mpf(SPEED_OF_LIGHT) / (2 * mp.mpf("1.21"))
     assert finesse(0.1) == pytest.approx(float(f_lossless), rel=1e-14)
     assert finesse(0.1, 0.003) == pytest.approx(float(f_lossy), rel=1e-14)
-    p = derive_rates(CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21))
+    p = CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21)
     assert p.fsr_hz == pytest.approx(float(fsr), rel=1e-15)
     assert p.hwhm_hz == pytest.approx(float(fsr / (2 * f_lossy)), rel=1e-14)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget.cavity import CavityParams, derive_rates
+from sqzbudget.cavity import CavityParams
 from sqzbudget.chain import CavityStage, FrequencyGrid, LossElement, Scenario
 from sqzbudget.quadcore import UnphysicalError
 from sqzbudget.scenario_io import (
@@ -106,8 +106,8 @@ def scenarios(draw):
     if draw(st.booleans()):
         detuning = draw(mhz_1dp)
         hwhm = draw(st.integers(min_value=1, max_value=50)) / 10
-        stages.append(CavityStage("src", derive_rates(CavityParams(
-            detuning_hz=detuning * MHZ, hwhm_hz=hwhm * MHZ))))
+        stages.append(CavityStage("src", CavityParams(
+            detuning_hz=detuning * MHZ, hwhm_hz=hwhm * MHZ)))
     kmin = draw(st.integers(min_value=1, max_value=500))
     kspan = draw(st.integers(min_value=1, max_value=100))
     grid = FrequencyGrid(kmin / 10 * MHZ, (kmin + kspan) / 10 * MHZ,

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +47,13 @@ def test_source_params_validation():
     with pytest.raises(UnphysicalError):
         SourceParams(mode="physical", classical_gain=1e4, bandwidth_hz=20 * MHZ,
                      escape_eta=1.0)
+    # the coupler/loss pair is checked when the params are built
+    with pytest.raises(UnphysicalError, match="nothing escapes"):
+        SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+                     t_out=0.0, loss_rt=0.01)
+    with pytest.raises(UnphysicalError, match="t_out \\+ loss_rt < 1"):
+        SourceParams(mode="physical", classical_gain=5.0, bandwidth_hz=20 * MHZ,
+                     t_out=0.6, loss_rt=0.5)
 
 
 def test_physical_mode_dc_depth():
@@ -145,7 +150,10 @@ def test_vacuum_source_emits_identity():
 
 
 def test_escape_eta_override_is_validated():
-    p = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+    with pytest.raises(UnphysicalError, match="escape_eta must lie in"):
+        SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
                      escape_eta=1.3)
-    with pytest.raises(UnphysicalError):
-        p.escape()
+    # the override wins, so the pair beside it is not consulted
+    p = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+                     escape_eta=0.9, t_out=0.0, loss_rt=0.01)
+    assert p.escape() == 0.9
