@@ -36,13 +36,12 @@ from .quadcore import (
     db_to_variance,
     variance_to_db,
 )
-from .scenario_io import ScenarioParseError, format_scenario, load_scenario, parse_scenario, save_scenario
+from .scenario_io import ScenarioParseError, format_scenario, load_scenario, parse_scenario
 from .source import (
     SourceParams,
     escape_efficiency,
     generated_spectrum,
     pump_parameter,
-    vacuum_source,
 )
 
 __version__ = "0.1.0"
@@ -78,10 +77,8 @@ __all__ = [
     "quadrature_transfer",
     "reflection",
     "rotation_angle",
-    "save_scenario",
     "signal_gain",
     "snr_spectrum",
     "total_efficiency",
-    "vacuum_source",
     "variance_to_db",
 ]

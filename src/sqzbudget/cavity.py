@@ -9,12 +9,12 @@ relation
 
     r(omega) = 2*kappa_in / (kappa_tot - i*2*pi*(omega - detuning)) - 1
 
-with kappa_tot = 2*pi*hwhm_hz and kappa_in/kappa_tot = t_in/(t_in + loss_rt),
-i.e. the Lorentzian half width is pinned to the hwhm derived from the mirror
-finesse when a :class:`CavityParams` is built.  This drops the
-free-spectral-range periodicity of the full Airy response, which is a good
-approximation while |omega - detuning| stays well below the FSR;
-:func:`reflection` warns once past fsr/4.
+with kappa_tot = 2*pi*hwhm and kappa_in/kappa_tot = t_in/(t_in + loss_rt),
+where hwhm is :meth:`CavityParams.hwhm`: the given ``hwhm_hz``, or the half
+width derived from the mirror finesse when a :class:`CavityParams` is built.
+This drops the free-spectral-range periodicity of the full Airy response,
+which is a good approximation while |omega - detuning| stays well below the
+FSR (:meth:`CavityParams.fsr`); :func:`reflection` warns once past fsr/4.
 
 A detuned cavity treats the two sidebands of a quadrature pair differently.
 In the two-photon picture the quadrature-domain transfer at sideband
@@ -47,11 +47,14 @@ class CavityParams:
     """Physical description of a single-ended cavity.
 
     ``t_in`` is the input-coupler power transmission, ``loss_rt`` the
-    round-trip power loss through all other channels.  Construction
-    completes the rates: fsr = c/(2L) unless ``fsr_hz`` is given, and
+    round-trip power loss through all other channels.  The fields hold what
+    was given; construction derives the rates, read through :meth:`fsr` and
+    :meth:`hwhm`: fsr = c/(2L) unless ``fsr_hz`` is given, and
     hwhm = fsr/(2*finesse) unless ``hwhm_hz`` is given (explicit
     configuration wins over geometry, so a cavity may be specified by hwhm
     alone).  A lossy cavity needs ``t_in`` to fix its coupling ratio.
+    ``dataclasses.replace`` derives the rates again, and ``==`` compares
+    the given fields.
     """
 
     t_in: float | None = None
@@ -72,15 +75,26 @@ class CavityParams:
                              ("hwhm_hz", self.hwhm_hz)):
             if value is not None and value <= 0.0:
                 raise UnphysicalError(f"{label} must be positive, got {value!r}")
-        if self.fsr_hz is None and self.length_m is not None:
-            object.__setattr__(self, "fsr_hz", SPEED_OF_LIGHT / (2.0 * self.length_m))
-        if self.hwhm_hz is None:
-            if self.fsr_hz is None or self.t_in is None:
+        fsr = self.fsr_hz
+        if fsr is None and self.length_m is not None:
+            fsr = SPEED_OF_LIGHT / (2.0 * self.length_m)
+        hwhm = self.hwhm_hz
+        if hwhm is None:
+            if fsr is None or self.t_in is None:
                 raise ValueError("need length_m (or fsr_hz) and t_in to derive cavity rates")
-            hwhm = self.fsr_hz / (2.0 * finesse(self.t_in, self.loss_rt))
-            object.__setattr__(self, "hwhm_hz", hwhm)
+            hwhm = fsr / (2.0 * finesse(self.t_in, self.loss_rt))
         if self.loss_rt != 0.0 and self.t_in is None:
             raise ValueError("a lossy cavity needs t_in to fix the coupling ratio")
+        object.__setattr__(self, "_fsr", fsr)
+        object.__setattr__(self, "_hwhm", hwhm)
+
+    def fsr(self):
+        """Free spectral range in Hz, given or from the length; None without either."""
+        return self._fsr
+
+    def hwhm(self):
+        """Resonance half width (HWHM) in Hz, given or from fsr and finesse."""
+        return self._hwhm
 
 
 def finesse(t_in, loss_rt=0.0):
@@ -102,12 +116,13 @@ def _coupling(p):
 def reflection(p, omega_hz):
     """Complex amplitude reflectivity at signed sideband frequency omega_hz."""
     delta = omega_hz - p.detuning_hz
-    if p.fsr_hz is not None and np.any(np.abs(delta) >= p.fsr_hz / 4.0):
+    fsr = p.fsr()
+    if fsr is not None and np.any(np.abs(delta) >= fsr / 4.0):
         warnings.warn(
             "sideband offset beyond fsr/4; single-resonance approximation degrades",
             stacklevel=2,
         )
-    x = delta / p.hwhm_hz
+    x = delta / p.hwhm()
     return 2.0 * _coupling(p) / (1.0 - 1j * x) - 1.0
 
 

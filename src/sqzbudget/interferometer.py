@@ -22,11 +22,11 @@ from . import chain as _chain
 def signal_gain(p, omega_hz):
     """Signal power transfer of a recycling cavity, normalized to 1 at its detuning.
 
-    p is a CavityParams, whose rates are derived when it is built; omega_hz
-    is a scalar or an array.  A single signal sideband at omega_hz
+    p is a CavityParams, whose half width is read through ``p.hwhm()``;
+    omega_hz is a scalar or an array.  A single signal sideband at omega_hz
     sees the Lorentzian resonance g = hwhm^2 / (hwhm^2 + (omega - detuning)^2).
     """
-    h = p.hwhm_hz
+    h = p.hwhm()
     d = omega_hz - p.detuning_hz
     return h * h / (h * h + d * d)
 

@@ -1,9 +1,13 @@
 """Scenario text files: sectioned key = value format, MHz units.
 
 Sections: [source], [filter_cavity], [src], [losses], [detection], [grid].
-Section order is free.  Keys are validated per section and unknown keys are
-rejected with the offending line number.  All frequencies are MHz in files
-and Hz in memory.
+Section order is free.  The parameter classes are the schema: the keys of
+[source], [filter_cavity]/[src] and [grid] are the field names of
+:class:`SourceParams`, :class:`CavityParams` and :class:`FrequencyGrid`, with
+each ``*_hz`` field written as a ``*_mhz`` key (frequencies are MHz in files
+and Hz in memory).  Unknown keys are rejected with the offending line number,
+and a field without a default must be given.  :func:`format_scenario` writes
+back what was given: each field that differs from its default.
 
 The [losses] section is ordered and defines the chain: plain elements are
 ``name = eta @ category`` lines, and the two cavity sections are placed in
@@ -36,6 +40,7 @@ Example::
     points = 201
 """
 
+import dataclasses
 import math
 import pathlib
 
@@ -45,13 +50,7 @@ from .source import SourceParams
 
 SECTIONS = ("source", "filter_cavity", "src", "losses", "detection", "grid")
 
-_SOURCE_KEYS = (
-    "mode", "gen_db_at_dc", "classical_gain", "bandwidth_mhz",
-    "t_out", "loss_rt", "escape_eta",
-)
-_CAVITY_KEYS = ("t_in", "loss_rt", "detuning_mhz", "length_m", "fsr_mhz", "hwhm_mhz")
 _DETECTION_KEYS = ("homodyne_angle",)
-_GRID_KEYS = ("fmin_mhz", "fmax_mhz", "points")
 
 _MARKER = "@cavity"
 _CAVITY_SECTIONS = {"filter_cavity": "filter", "src": "src"}
@@ -81,6 +80,35 @@ def _parse_int(text, line):
         return int(text)
     except ValueError:
         raise ScenarioParseError(f"expected an integer, got {text!r}", line) from None
+
+
+def _parse_mhz(text, line):
+    return _parse_float(text, line) * 1e6
+
+
+def _parse_text(text, line):
+    return text
+
+
+def _key(name):
+    """The file key of a params field: a ``*_hz`` field is a ``*_mhz`` key."""
+    return name[:-3] + "_mhz" if name.endswith("_hz") else name
+
+
+def _schema(cls):
+    """File key -> (field name, value parser, required) for each field of cls."""
+    parsers = {str: _parse_text, int: _parse_int}
+    return {
+        _key(f.name): (
+            f.name,
+            _parse_mhz if f.name.endswith("_hz") else parsers.get(f.type, _parse_float),
+            f.default is dataclasses.MISSING,
+        )
+        for f in dataclasses.fields(cls)
+    }
+
+
+_SCHEMAS = {cls: _schema(cls) for cls in (SourceParams, CavityParams, FrequencyGrid)}
 
 
 def _split_sections(text):
@@ -120,54 +148,22 @@ def _split_sections(text):
     return sections, loss_lines, section_lines
 
 
-def _num(table, key):
-    """The key's value as a finite float, or None when the key is absent."""
-    if key not in table:
-        return None
-    value, lineno = table[key]
-    return _parse_float(value, lineno)
-
-
 def _check_keys(section, table, allowed):
     for key, (_, lineno) in table.items():
         if key not in allowed:
             raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
 
 
-def _build_source(table):
-    _check_keys("source", table, _SOURCE_KEYS)
-
-    if "mode" not in table:
-        raise ScenarioParseError("[source] needs a mode (direct or physical)")
-    if "bandwidth_mhz" not in table:
-        raise ScenarioParseError("[source] needs bandwidth_mhz")
-    bandwidth_mhz = _num(table, "bandwidth_mhz")
-    return SourceParams(
-        mode=table["mode"][0],
-        bandwidth_hz=bandwidth_mhz * 1e6,
-        gen_db_at_dc=_num(table, "gen_db_at_dc"),
-        classical_gain=_num(table, "classical_gain"),
-        t_out=_num(table, "t_out"),
-        loss_rt=_num(table, "loss_rt"),
-        escape_eta=_num(table, "escape_eta"),
-    )
-
-
-def _build_cavity(section, table):
-    _check_keys(section, table, _CAVITY_KEYS)
-
-    def mhz(key):
-        value = _num(table, key)
-        return None if value is None else value * 1e6
-
-    return CavityParams(
-        t_in=_num(table, "t_in"),
-        loss_rt=_num(table, "loss_rt") or 0.0,
-        detuning_hz=mhz("detuning_mhz") or 0.0,
-        length_m=_num(table, "length_m"),
-        fsr_hz=mhz("fsr_mhz"),
-        hwhm_hz=mhz("hwhm_mhz"),
-    )
+def _read_section(cls, section, sections, section_lines):
+    """Build a params object from a section whose keys are the field names of cls."""
+    schema = _SCHEMAS[cls]
+    table = sections[section]
+    _check_keys(section, table, schema)
+    for key, (_, _, required) in schema.items():
+        if required and key not in table:
+            raise ScenarioParseError(f"[{section}] needs {key}", section_lines[section])
+    return cls(**{name: parse(*table[key])
+                  for key, (name, parse, _) in schema.items() if key in table})
 
 
 def _build_losses(loss_lines, cavities, section_lines):
@@ -219,9 +215,9 @@ def parse_scenario(text, name="scenario"):
     sections, loss_lines, section_lines = _split_sections(text.removeprefix("\ufeff"))
     if "source" not in sections:
         raise ScenarioParseError("missing required section [source]")
-    source = _build_source(sections["source"])
+    source = _read_section(SourceParams, "source", sections, section_lines)
     cavities = {
-        section: _build_cavity(section, sections[section])
+        section: _read_section(CavityParams, section, sections, section_lines)
         for section in _CAVITY_SECTIONS if section in sections
     }
     stages = _build_losses(loss_lines, cavities, section_lines)
@@ -233,23 +229,10 @@ def parse_scenario(text, name="scenario"):
             value, lineno = sections["detection"]["homodyne_angle"]
             homodyne_angle = _parse_float(value, lineno)
 
-    grid = None
-    if "grid" in sections:
-        table = sections["grid"]
-        _check_keys("grid", table, _GRID_KEYS)
-        for key in _GRID_KEYS:
-            if key not in table:
-                raise ScenarioParseError(f"[grid] needs {key}", section_lines["grid"])
-        grid = FrequencyGrid(
-            fmin_hz=_parse_float(*table["fmin_mhz"]) * 1e6,
-            fmax_hz=_parse_float(*table["fmax_mhz"]) * 1e6,
-            points=_parse_int(*table["points"]),
-        )
-
     kwargs = {"name": name, "source": source, "stages": tuple(stages),
               "homodyne_angle": homodyne_angle}
-    if grid is not None:
-        kwargs["grid"] = grid
+    if "grid" in sections:
+        kwargs["grid"] = _read_section(FrequencyGrid, "grid", sections, section_lines)
     return Scenario(**kwargs)
 
 
@@ -260,59 +243,32 @@ def load_scenario(path):
 
 
 def _fmt(value):
-    """Shortest exact decimal for a float, plain ints unchanged."""
-    if isinstance(value, int):
+    """Shortest exact decimal for a float; plain ints and text unchanged."""
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
 
-def _cavity_lines(params):
-    lines = []
-    if params.t_in is not None:
-        lines.append(f"t_in = {_fmt(params.t_in)}")
-    if params.loss_rt != 0.0:
-        lines.append(f"loss_rt = {_fmt(params.loss_rt)}")
-    lines.append(f"detuning_mhz = {_fmt(params.detuning_hz / 1e6)}")
-    if params.length_m is not None:
-        lines.append(f"length_m = {_fmt(params.length_m)}")
-    elif params.fsr_hz is not None:
-        lines.append(f"fsr_mhz = {_fmt(params.fsr_hz / 1e6)}")
-    # emit hwhm only when the geometric keys cannot reproduce it exactly
-    try:
-        implied = CavityParams(
-            t_in=params.t_in, loss_rt=params.loss_rt, detuning_hz=params.detuning_hz,
-            length_m=params.length_m, fsr_hz=None if params.length_m is not None else params.fsr_hz,
-        ).hwhm_hz
-    except (ValueError, ArithmeticError):
-        implied = None
-    if params.hwhm_hz is not None and implied != params.hwhm_hz:
-        lines.append(f"hwhm_mhz = {_fmt(params.hwhm_hz / 1e6)}")
-    return lines
+def _section(section, params):
+    """Lines of a section holding each field of params that differs from its default."""
+    lines = [f"[{section}]"]
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if value != f.default:
+            if f.name.endswith("_hz"):
+                value = value / 1e6
+            lines.append(f"{_key(f.name)} = {_fmt(value)}")
+    return lines + [""]
 
 
 def format_scenario(sc):
-    """Canonical text form; parsing it back yields an identical scenario."""
-    out = ["[source]", f"mode = {sc.source.mode}"]
-    if sc.source.gen_db_at_dc is not None:
-        out.append(f"gen_db_at_dc = {_fmt(sc.source.gen_db_at_dc)}")
-    if sc.source.classical_gain is not None:
-        out.append(f"classical_gain = {_fmt(sc.source.classical_gain)}")
-    out.append(f"bandwidth_mhz = {_fmt(sc.source.bandwidth_hz / 1e6)}")
-    if sc.source.t_out is not None:
-        out.append(f"t_out = {_fmt(sc.source.t_out)}")
-    if sc.source.loss_rt is not None:
-        out.append(f"loss_rt = {_fmt(sc.source.loss_rt)}")
-    if sc.source.escape_eta is not None:
-        out.append(f"escape_eta = {_fmt(sc.source.escape_eta)}")
-
+    """Canonical text form of what was given; parsing it back yields an identical scenario."""
+    out = _section("source", sc.source)
     for section, role in _CAVITY_SECTIONS.items():
         stage = sc.cavity_stage(role)
         if stage is not None:
-            out.append("")
-            out.append(f"[{section}]")
-            out.extend(_cavity_lines(stage.params))
+            out += _section(section, stage.params)
 
-    out.append("")
     out.append("[losses]")
     roles_to_section = {role: section for section, role in _CAVITY_SECTIONS.items()}
     for stage in sc.stages:
@@ -321,17 +277,6 @@ def format_scenario(sc):
         else:
             out.append(f"{roles_to_section[stage.role]} = {_MARKER}")
 
-    out.append("")
-    out.append("[detection]")
-    out.append(f"homodyne_angle = {_fmt(sc.homodyne_angle)}")
-
-    out.append("")
-    out.append("[grid]")
-    out.append(f"fmin_mhz = {_fmt(sc.grid.fmin_hz / 1e6)}")
-    out.append(f"fmax_mhz = {_fmt(sc.grid.fmax_hz / 1e6)}")
-    out.append(f"points = {sc.grid.points}")
-    return "\n".join(out) + "\n"
-
-
-def save_scenario(sc, path):
-    pathlib.Path(path).write_text(format_scenario(sc), encoding="utf-8")
+    out += ["", "[detection]", f"homodyne_angle = {_fmt(sc.homodyne_angle)}", ""]
+    out += _section("grid", sc.grid)
+    return "\n".join(out)

@@ -24,7 +24,6 @@ Two source models are provided:
 Both return an amplitude-quadrature-squeezed covariance diag(V-, V+).
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -107,11 +106,6 @@ class SourceParams:
             return self.gen_db_at_dc
         x = pump_parameter(self.classical_gain)
         return 20.0 * math.log10((1.0 + x) / (1.0 - x))
-
-
-def vacuum_source(p):
-    """The same source with the pump off: emits exact vacuum at every omega."""
-    return dataclasses.replace(p, mode="direct", gen_db_at_dc=0.0, classical_gain=None)
 
 
 def generated_spectrum(p, omega_hz):

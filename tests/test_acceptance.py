@@ -6,6 +6,7 @@ checklist.  Tolerances are fixed here on purpose; loosening them to make a
 failing build green defeats the point of the gate.
 """
 
+import dataclasses
 import io
 
 import numpy as np
@@ -22,7 +23,7 @@ from sqzbudget.chain import (
 from sqzbudget.cli import entry
 from sqzbudget.interferometer import signal_gain, snr_spectrum
 from sqzbudget.quadcore import apply_loss, db_to_variance, variance_to_db
-from sqzbudget.source import SourceParams, escape_efficiency, vacuum_source
+from sqzbudget.source import SourceParams, escape_efficiency
 
 MHZ = 1e6
 
@@ -113,7 +114,8 @@ def test_criterion_6_property_suite(tabletop):
             assert s.det() >= 1.0 - 1e-9
 
     # vacuum is a fixed point of the full golden chain
-    shot = vacuum_source(tabletop.source)
+    shot = dataclasses.replace(
+        tabletop.source, mode="direct", gen_db_at_dc=0.0, classical_gain=None)
     vac_sc = Scenario("vac", shot, tabletop.stages, grid=tabletop.grid)
     for f in tabletop.grid.frequencies()[::40]:
         assert homodyne_readout(propagate(vac_sc, f), 0.0) == 1.0

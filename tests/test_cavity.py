@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,20 +29,32 @@ def test_finesse_values():
 def test_derive_rates_from_geometry():
     # rates are derived when the params are built: fsr = c/(2L), hwhm = fsr/(2F)
     p = CavityParams(t_in=0.1, length_m=1.21)
-    assert p.fsr_hz == pytest.approx(123881180.99173554, rel=1e-13)
-    assert p.hwhm_hz == pytest.approx(1038779.9974564468, rel=1e-13)
-    assert p.fsr_hz == SPEED_OF_LIGHT / (2.0 * 1.21)
-    assert p.hwhm_hz == p.fsr_hz / (2.0 * finesse(0.1))
+    assert p.fsr() == pytest.approx(123881180.99173554, rel=1e-13)
+    assert p.hwhm() == pytest.approx(1038779.9974564468, rel=1e-13)
+    assert p.fsr() == SPEED_OF_LIGHT / (2.0 * 1.21)
+    assert p.hwhm() == p.fsr() / (2.0 * finesse(0.1))
     # a given fsr wins over the length
-    assert CavityParams(t_in=0.1, length_m=1.21, fsr_hz=200.0 * MHZ).fsr_hz == 200.0 * MHZ
+    assert CavityParams(t_in=0.1, length_m=1.21, fsr_hz=200.0 * MHZ).fsr() == 200.0 * MHZ
     lossy = CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21)
-    assert lossy.hwhm_hz == pytest.approx(1068409.4727756338, rel=1e-13)
+    assert lossy.hwhm() == pytest.approx(1068409.4727756338, rel=1e-13)
+
+
+def test_replace_derives_rates_again():
+    p = CavityParams(t_in=0.1, length_m=1.21)
+    # the fields keep what was given; the derived rates live apart from them
+    assert (p.fsr_hz, p.hwhm_hz) == (None, None)
+    longer = dataclasses.replace(p, length_m=2.42)
+    assert longer == CavityParams(t_in=0.1, length_m=2.42)
+    assert longer.fsr() == SPEED_OF_LIGHT / (2.0 * 2.42)
+    assert longer.hwhm() == pytest.approx(519389.9987282234, rel=1e-13)
+    assert dataclasses.replace(p, loss_rt=0.003).hwhm() == pytest.approx(
+        1068409.4727756338, rel=1e-13)
 
 
 def test_derive_rates_keeps_explicit_hwhm():
     p = CavityParams(t_in=0.1, length_m=1.21, hwhm_hz=2.0 * MHZ)
-    assert p.hwhm_hz == 2.0 * MHZ
-    assert p.fsr_hz is not None
+    assert p.hwhm() == 2.0 * MHZ
+    assert p.fsr() is not None
     with pytest.raises(ValueError, match="need length_m"):
         CavityParams(detuning_hz=1.0 * MHZ)
 
@@ -87,7 +100,7 @@ def test_params_refuse_missing_rates():
     with pytest.raises(ValueError, match="a lossy cavity needs t_in"):
         CavityParams(loss_rt=0.003, hwhm_hz=1.0 * MHZ)
     lossless = CavityParams(hwhm_hz=1.0 * MHZ)
-    assert lossless.fsr_hz is None and reflection(lossless, 0.0) == 1.0
+    assert lossless.fsr() is None and reflection(lossless, 0.0) == 1.0
 
 
 def test_reflection_warns_past_quarter_fsr():

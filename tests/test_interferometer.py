@@ -19,7 +19,6 @@ from sqzbudget.chain import (
 )
 from sqzbudget.interferometer import NoiseSpectrum, signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, variance_to_db
-from sqzbudget.source import vacuum_source
 
 from conftest import load_bundled
 
@@ -55,7 +54,7 @@ def test_lossy_reflection_dips_at_detuning(tabletop):
         out = quadrature_transfer(p, f).apply(state)
         depth.append(variance_to_db(min(np.linalg.eigvalsh(out.matrix()).real)))
     worst = freqs[int(np.argmin(depth))]
-    assert abs(worst - p.detuning_hz) <= p.hwhm_hz
+    assert abs(worst - p.detuning_hz) <= p.hwhm()
     assert min(depth) < depth[0]
 
 
@@ -120,23 +119,18 @@ def test_vacuum_scenario_improves_nothing(vacuum_scenario):
 def test_signal_column_ignores_the_source(tabletop):
     freqs = tabletop.grid.frequencies()[::10]
     squeezed = snr_spectrum(tabletop, freqs)
-    dark = snr_spectrum(
-        dataclasses.replace(tabletop, source=vacuum_source(tabletop.source)), freqs)
+    pump_off = dataclasses.replace(
+        tabletop.source, mode="direct", gen_db_at_dc=0.0, classical_gain=None)
+    dark = snr_spectrum(dataclasses.replace(tabletop, source=pump_off), freqs)
     assert np.array_equal(squeezed.signal_db, dark.signal_db)
 
 
 def _lossless_variant(tabletop):
     """Same chain but with a lossless recycling cavity (matched to the filter)."""
-    stages = []
-    for s in tabletop.stages:
-        if isinstance(s, CavityStage) and s.role == "src":
-            lossless = CavityParams(
-                t_in=s.params.t_in, loss_rt=0.0, detuning_hz=s.params.detuning_hz,
-                length_m=s.params.length_m)
-            stages.append(CavityStage("src", lossless))
-        else:
-            stages.append(s)
-    return dataclasses.replace(tabletop, stages=tuple(stages))
+    return dataclasses.replace(tabletop, stages=tuple(
+        CavityStage("src", dataclasses.replace(s.params, loss_rt=0.0))
+        if isinstance(s, CavityStage) and s.role == "src" else s
+        for s in tabletop.stages))
 
 
 def test_matched_filter_cancels_rotation_of_lossless_src(tabletop):
@@ -145,7 +139,7 @@ def test_matched_filter_cancels_rotation_of_lossless_src(tabletop):
     matched = _lossless_variant(tabletop)
     fc = matched.cavity_stage("filter").params
     src = matched.cavity_stage("src").params
-    assert fc.hwhm_hz == pytest.approx(src.hwhm_hz, rel=1e-12)
+    assert fc.hwhm() == pytest.approx(src.hwhm(), rel=1e-12)
     assert fc.detuning_hz == -src.detuning_hz
     for f in matched.grid.frequencies():
         with_cavities = homodyne_readout(propagate(matched, f), 0.0)

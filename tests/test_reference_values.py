@@ -34,8 +34,8 @@ def test_cavity_rates_against_high_precision():
     assert finesse(0.1) == pytest.approx(float(f_lossless), rel=1e-14)
     assert finesse(0.1, 0.003) == pytest.approx(float(f_lossy), rel=1e-14)
     p = CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21)
-    assert p.fsr_hz == pytest.approx(float(fsr), rel=1e-15)
-    assert p.hwhm_hz == pytest.approx(float(fsr / (2 * f_lossy)), rel=1e-14)
+    assert p.fsr() == pytest.approx(float(fsr), rel=1e-15)
+    assert p.hwhm() == pytest.approx(float(fsr / (2 * f_lossy)), rel=1e-14)
 
 
 def test_source_constants_against_high_precision():

@@ -12,7 +12,6 @@ from sqzbudget.scenario_io import (
     format_scenario,
     load_scenario,
     parse_scenario,
-    save_scenario,
 )
 from sqzbudget.source import SourceParams
 
@@ -44,8 +43,8 @@ def test_parse_bundled_tabletop(tabletop):
     src = tabletop.cavity_stage("src").params
     assert fc.detuning_hz == -10 * MHZ
     assert src.detuning_hz == 10 * MHZ
-    assert fc.hwhm_hz == pytest.approx(1038779.9974564468, rel=1e-13)
-    assert src.hwhm_hz == pytest.approx(1068409.4727756338, rel=1e-13)
+    assert fc.hwhm() == pytest.approx(1038779.9974564468, rel=1e-13)
+    assert src.hwhm() == pytest.approx(1068409.4727756338, rel=1e-13)
     assert tabletop.homodyne_angle == 0.0
     assert (tabletop.grid.fmin_hz, tabletop.grid.fmax_hz, tabletop.grid.points) == (
         5 * MHZ, 15 * MHZ, 201)
@@ -76,7 +75,7 @@ def test_bundled_files_round_trip(tabletop, geo600, vacuum_scenario):
 
 def test_save_and_load(tmp_path, geo600):
     path = tmp_path / "copy.scn"
-    save_scenario(geo600, path)
+    path.write_text(format_scenario(geo600), encoding="utf-8")
     loaded = load_scenario(path)
     assert loaded.name == "copy"
     assert loaded.source == geo600.source
@@ -86,16 +85,47 @@ def test_save_and_load(tmp_path, geo600):
 etas_2dp = st.integers(min_value=30, max_value=100).map(lambda k: k / 100)
 mhz_1dp = st.integers(min_value=1, max_value=300).map(lambda k: k / 10)
 names = st.sampled_from(["isolator", "rotator", "mode_match", "photodiode", "window"])
+couplings = st.integers(min_value=1, max_value=30).map(lambda k: k / 100)
+round_trip_losses = st.integers(min_value=1, max_value=20).map(lambda k: k / 1000)
+lengths = st.integers(min_value=30, max_value=300).map(lambda k: k / 100)
+
+
+@st.composite
+def sources(draw):
+    mode = draw(st.sampled_from(("direct", "physical")))
+    if mode == "direct":
+        strength = {"gen_db_at_dc": draw(st.integers(min_value=0, max_value=130)) / 10}
+    else:
+        strength = {"classical_gain": draw(st.integers(min_value=10, max_value=400)) / 10}
+    if draw(st.booleans()):
+        escape = {"escape_eta": draw(etas_2dp)}
+    else:
+        escape = {"t_out": draw(couplings), "loss_rt": draw(round_trip_losses)}
+    return SourceParams(mode=mode, bandwidth_hz=draw(mhz_1dp) * MHZ, **strength, **escape)
+
+
+@st.composite
+def cavities(draw):
+    """A cavity given by length, by fsr, by both, or by hwhm with or without a length."""
+    given = draw(st.sampled_from(("length", "fsr", "length+fsr", "hwhm", "length+hwhm")))
+    kwargs = {"detuning_hz": draw(st.sampled_from((-1, 1))) * draw(mhz_1dp) * MHZ}
+    if "length" in given:
+        kwargs["length_m"] = draw(lengths)
+    if "fsr" in given:
+        kwargs["fsr_hz"] = draw(st.integers(min_value=100, max_value=400)) * MHZ
+    if "hwhm" in given:
+        kwargs["hwhm_hz"] = draw(st.integers(min_value=1, max_value=50)) / 10 * MHZ
+    # the rates need t_in unless hwhm is given, and a lossy cavity always needs it
+    if "hwhm" not in given or draw(st.booleans()):
+        kwargs["t_in"] = draw(couplings)
+        if draw(st.booleans()):
+            kwargs["loss_rt"] = draw(round_trip_losses)
+    return CavityParams(**kwargs)
 
 
 @st.composite
 def scenarios(draw):
-    source = SourceParams(
-        mode="direct",
-        gen_db_at_dc=draw(st.integers(min_value=0, max_value=130)) / 10,
-        bandwidth_hz=draw(mhz_1dp) * MHZ,
-        escape_eta=draw(etas_2dp),
-    )
+    source = draw(sources())
     stages = []
     used = set()
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
@@ -103,11 +133,10 @@ def scenarios(draw):
         used.add(name)
         stages.append(LossElement(name, draw(etas_2dp),
                                   draw(st.sampled_from(("mode_matching", "other")))))
-    if draw(st.booleans()):
-        detuning = draw(mhz_1dp)
-        hwhm = draw(st.integers(min_value=1, max_value=50)) / 10
-        stages.append(CavityStage("src", CavityParams(
-            detuning_hz=detuning * MHZ, hwhm_hz=hwhm * MHZ)))
+    for role in ("filter", "src"):
+        if draw(st.booleans()):
+            at = draw(st.integers(min_value=0, max_value=len(stages)))
+            stages.insert(at, CavityStage(role, draw(cavities())))
     kmin = draw(st.integers(min_value=1, max_value=500))
     kspan = draw(st.integers(min_value=1, max_value=100))
     grid = FrequencyGrid(kmin / 10 * MHZ, (kmin + kspan) / 10 * MHZ,
