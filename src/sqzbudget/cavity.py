@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadcore import SpectralCovariance, UnphysicalError
+from .quadcore import UnphysicalError, _unchecked
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
@@ -73,8 +73,10 @@ class CavityParams:
             raise UnphysicalError("total round-trip power removal t_in + loss_rt must be < 1")
         for label, value in (("length_m", self.length_m), ("fsr_hz", self.fsr_hz),
                              ("hwhm_hz", self.hwhm_hz)):
-            if value is not None and value <= 0.0:
-                raise UnphysicalError(f"{label} must be positive, got {value!r}")
+            if value is not None and not 0.0 < value < math.inf:
+                raise UnphysicalError(f"{label} must be positive and finite, got {value!r}")
+        if not math.isfinite(self.detuning_hz):
+            raise UnphysicalError(f"detuning_hz must be finite, got {self.detuning_hz!r}")
         fsr = self.fsr_hz
         if fsr is None and self.length_m is not None:
             fsr = SPEED_OF_LIGHT / (2.0 * self.length_m)
@@ -148,7 +150,7 @@ class TransferPair:
         # rows of T S
         u0 = (t00 * s.s11 + t01 * s21, t00 * s.s12 + t01 * s.s22)
         u1 = (t10 * s.s11 + t11 * s21, t10 * s.s12 + t11 * s.s22)
-        return SpectralCovariance(
+        return _unchecked(
             (_outer_dagger(*u0, t00, t01) + self.n[0, 0]).real,
             (_outer_dagger(*u1, t10, t11) + self.n[1, 1]).real,
             _outer_dagger(*u0, t10, t11) + self.n[0, 1],

@@ -46,6 +46,10 @@ class LossElement:
 
     def __post_init__(self):
         check_efficiency(self.eta, f"loss element {self.name!r}")
+        name = self.name
+        if (name.splitlines() != [name] or name != name.strip() or "=" in name
+                or name[0] in "#[" or name in ("filter_cavity", "src")):
+            raise ValueError(f"loss element name {name!r} cannot be read back from a scenario")
         if self.category not in CATEGORIES:
             raise ValueError(
                 f"unknown category {self.category!r}; expected one of {CATEGORIES}"
@@ -97,6 +101,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
+        if not math.isfinite(self.homodyne_angle):
+            raise ValueError(f"homodyne_angle must be finite, got {self.homodyne_angle!r}")
         for role in CAVITY_ROLES:
             if sum(1 for s in self.stages if isinstance(s, CavityStage) and s.role == role) > 1:
                 raise ValueError(f"at most one {role} cavity stage is allowed")
@@ -137,11 +143,13 @@ def propagate(sc, omega_hz):
             s = apply_loss_cov(s, stage.eta)
         else:
             s = _cavity.quadrature_transfer(stage.params, omega_hz).apply(s)
-    physical = s.is_positive_semidefinite()
-    if not np.all(physical):
+    ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
+    if ok.all():  # only finite values reach the positivity arithmetic
+        ok = s.is_positive_semidefinite()
+    if not np.all(ok):
         raise RuntimeError(
-            "internal error: propagated covariance lost positivity at "
-            f"{np.extract(~physical, omega_hz)[0].item()} Hz"
+            "internal error: propagated covariance is not finite and positive semidefinite "
+            f"at {np.extract(~ok, omega_hz)[0].item()} Hz"
         )
     return s
 

@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 physically invalid model.
 All frequencies on the command line and in output are MHz; dB values are
-printed with 2 decimals in tables and 6 decimals in CSV.
+printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)``
+may be called repeatedly in one process; the parser is built once, on first use.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -75,6 +77,7 @@ def cmd_sweep(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sqzbudget",

@@ -11,6 +11,9 @@ negative.  A passive loss of power transmission ``eta`` mixes the field with
 vacuum on a beamsplitter and maps variances as ``v -> eta*v + (1 - eta)``.
 Variances and covariances may be arrays over frequency; the algebra is
 element-wise, and a check that fails names the first offending element.
+Covariances are checked by the :class:`SpectralCovariance` constructor, which
+``generated_spectrum`` uses, and by ``chain.propagate``'s exit check; the linear
+stage folds between skip the checks, and a NaN or inf carries through to the exit.
 """
 
 import math
@@ -73,7 +76,8 @@ class SpectralCovariance:
     is a scalar or a 1-D array over frequency, and they broadcast together;
     every method but :meth:`matrix` works element-wise.  Vacuum is the
     identity.  Pure squeezed vacuum has det = 1 and passive loss can only
-    increase the determinant.
+    increase the determinant.  Values are checked when built through this
+    constructor; stage folds skip it (see the module docstring).
     """
 
     s11: float
@@ -120,6 +124,13 @@ class SpectralCovariance:
                 & (self.det() >= -tol * scale**2))
 
 
+def _unchecked(s11, s22, s12):
+    """A SpectralCovariance built without the constructor's checks, for the stage folds."""
+    s = object.__new__(SpectralCovariance)
+    s.__dict__.update(s11=s11, s22=s22, s12=s12)
+    return s
+
+
 def apply_loss_cov(s, eta):
     """Beamsplitter loss on a covariance: eta*S + (1 - eta)*I.
 
@@ -128,4 +139,4 @@ def apply_loss_cov(s, eta):
     """
     eta = check_efficiency(eta)
     fill = 1.0 - eta
-    return SpectralCovariance(eta * s.s11 + fill, eta * s.s22 + fill, eta * s.s12)
+    return _unchecked(eta * s.s11 + fill, eta * s.s22 + fill, eta * s.s12)

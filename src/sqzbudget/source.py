@@ -74,8 +74,9 @@ class SourceParams:
     def __post_init__(self):
         if self.mode not in ("direct", "physical"):
             raise ValueError(f'source mode must be "direct" or "physical", got {self.mode!r}')
-        if not self.bandwidth_hz > 0.0:
-            raise UnphysicalError(f"bandwidth_hz must be positive, got {self.bandwidth_hz!r}")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise UnphysicalError(
+                f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz!r}")
         if self.escape_eta is None and (self.t_out is None or self.loss_rt is None):
             raise ValueError("source needs escape_eta or the (t_out, loss_rt) pair")
         if self.mode == "direct":

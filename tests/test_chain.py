@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget import chain
+from sqzbudget import chain, quadcore
 from sqzbudget.cavity import CavityParams
 from sqzbudget.chain import (
     CavityStage,
@@ -133,6 +133,28 @@ def test_propagate_names_first_unphysical_frequency(monkeypatch):
     monkeypatch.setattr(chain, "generated_spectrum", broken)
     with pytest.raises(RuntimeError, match="at 7000000.0 Hz"):
         propagate(_bare_scenario(), np.array([1.0, 7.0, 9.0]) * MHZ)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_propagate_refuses_a_non_finite_stage(bad, monkeypatch):
+    # the first loss stage yields a non-finite s11 at 7 MHz; the unchecked folds
+    # after it carry that to propagate's exit check
+    real = chain.apply_loss_cov
+    calls = []
+
+    def broken(s, eta):
+        out = real(s, eta)
+        calls.append(eta)
+        if len(calls) > 1:
+            return out
+        s11 = np.array(out.s11, dtype=float)
+        s11[1] = bad
+        return quadcore._unchecked(s11, out.s22, out.s12)
+
+    monkeypatch.setattr(chain, "apply_loss_cov", broken)
+    with pytest.raises(RuntimeError, match="not finite .* at 7000000.0 Hz"):
+        propagate(_bare_scenario(stages=_elements([0.9, 0.8])), np.array([1.0, 7.0, 9.0]) * MHZ)
+    assert calls == [0.9, 0.8]
 
 
 def test_propagate_tabletop_frozen_values(tabletop):

@@ -267,3 +267,20 @@ def test_usage_errors_exit_2():
 def test_parser_builds_help():
     parser = build_parser()
     assert "budget" in parser.format_help()
+
+
+def test_shared_parser_is_safe_to_reuse(golden_dir):
+    # one parser serves every call in the process; a usage error or an
+    # override in one call must not leak into the next
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        entry(["sweep"])
+    assert excinfo.value.code == 2
+    code, text = run(["budget", bundled_scenario_path("tabletop")])
+    assert code == 0
+    assert text == (golden_dir / "tabletop_budget.txt").read_text(encoding="utf-8")
+    code, text = run(["spectrum", bundled_scenario_path("tabletop"), "--points", "7"])
+    assert code == 0 and len(text.splitlines()) == 8
+    code, text = run(["spectrum", bundled_scenario_path("tabletop")])
+    assert code == 0
+    assert text == (golden_dir / "tabletop_spectrum.csv").read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqzbudget.cavity import CavityParams, quadrature_transfer
 from sqzbudget.quadcore import (
     SpectralCovariance,
     UnphysicalError,
@@ -108,6 +110,20 @@ def test_apply_loss_cov_matches_scalar_on_diagonal():
     assert out.s11 == pytest.approx(apply_loss(0.1, 0.65), rel=1e-14)
     assert out.s22 == pytest.approx(apply_loss(10.0, 0.65), rel=1e-14)
     assert out.s12 == 0j
+
+
+def test_stage_folds_build_frozen_covariances():
+    s = SpectralCovariance(0.1, 10.0, 0.5 - 0.25j)
+    lossy = apply_loss_cov(s, 0.65)
+    turned = quadrature_transfer(CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=1e7,
+                                              length_m=1.21), 8e6).apply(s)
+    for out in (lossy, turned):
+        assert type(out) is SpectralCovariance
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.s11 = 1.0
+        assert out == SpectralCovariance(out.s11, out.s22, out.s12)
+    assert lossy == SpectralCovariance(0.65 * 0.1 + 0.35, 0.65 * 10.0 + 0.35,
+                                       0.65 * (0.5 - 0.25j))
 
 
 def test_vacuum_is_exact_fixed_point():

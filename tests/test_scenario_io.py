@@ -1,3 +1,4 @@
+import math
 import textwrap
 
 import pytest
@@ -150,6 +151,38 @@ def test_round_trip_is_identity(sc):
     text = format_scenario(sc)
     again = parse_scenario(text, name="generated")
     assert again == sc
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=math.inf, escape_eta=0.9),
+    lambda: SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=math.nan, escape_eta=0.9),
+    lambda: CavityParams(t_in=0.1, length_m=1.21, detuning_hz=math.nan),
+    lambda: CavityParams(t_in=0.1, length_m=1.21, detuning_hz=-math.inf),
+    lambda: CavityParams(t_in=0.1, length_m=math.inf),
+    lambda: CavityParams(hwhm_hz=math.nan),
+    lambda: Scenario("s", SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+                                       escape_eta=0.9), homodyne_angle=math.nan),
+    lambda: Scenario("s", SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+                                       escape_eta=0.9), homodyne_angle=math.inf),
+    *[lambda name=name: LossElement(name, 0.9) for name in (
+        "", "a=b", "a\nb", "a\rb", "a\u2028b", "#x", "[x", " pad", "pad ", "pad\n",
+        "filter_cavity", "src")],
+], ids=["bandwidth-inf", "bandwidth-nan", "detuning-nan", "detuning-inf", "length-inf",
+        "hwhm-nan", "angle-nan", "angle-inf", "name-empty", "name-equals", "name-newline",
+        "name-return", "name-line-separator", "name-comment", "name-bracket",
+        "name-leading-space", "name-trailing-space", "name-trailing-newline",
+        "name-filter-cavity", "name-src"])
+def test_constructors_refuse_what_cannot_be_written_back(build):
+    # format_scenario could not write these so that parse_scenario reads them back
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_unusual_loss_names_round_trip():
+    stages = tuple(LossElement(name, 0.9) for name in ("a#b", "a [b]", "two words", "a@b"))
+    sc = Scenario("s", SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+                                    escape_eta=0.9), stages=stages)
+    assert parse_scenario(format_scenario(sc), name="s") == sc
 
 
 def _err(text):
