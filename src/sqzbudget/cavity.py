@@ -14,7 +14,8 @@ where hwhm is :meth:`CavityParams.hwhm`: the given ``hwhm_hz``, or the half
 width derived from the mirror finesse when a :class:`CavityParams` is built.
 This drops the free-spectral-range periodicity of the full Airy response,
 which is a good approximation while |omega - detuning| stays well below the
-FSR (:meth:`CavityParams.fsr`); :func:`reflection` warns once past fsr/4.
+FSR (:meth:`CavityParams.fsr`).  The functions here compute past fsr/4 too;
+:func:`sqzbudget.chain.propagate` alone refuses sidebands there.
 
 A detuned cavity treats the two sidebands of a quadrature pair differently.
 In the two-photon picture the quadrature-domain transfer at sideband
@@ -32,12 +33,11 @@ frequency axis last, so ``t[i, j]`` is one element across all frequencies.
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadcore import UnphysicalError, _unchecked
+from .quadcore import UnphysicalError, _require, _unchecked
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
@@ -101,10 +101,10 @@ class CavityParams:
 
 def finesse(t_in, loss_rt=0.0):
     """Finesse of a two-mirror resonator with couplings t_in and loss_rt."""
-    if t_in <= 0.0:
-        raise UnphysicalError("t_in = 0 leaves the cavity uncoupled")
     r1 = math.sqrt(1.0 - t_in)
     r2 = math.sqrt(1.0 - loss_rt)
+    if t_in <= 0.0 or r1 * r2 == 1.0:  # a t_in below double precision counts as 0
+        raise UnphysicalError(f"t_in = {t_in!r} leaves the cavity uncoupled")
     return math.pi * math.sqrt(r1 * r2) / (1.0 - r1 * r2)
 
 
@@ -116,15 +116,8 @@ def _coupling(p):
 
 
 def reflection(p, omega_hz):
-    """Complex amplitude reflectivity at signed sideband frequency omega_hz."""
-    delta = omega_hz - p.detuning_hz
-    fsr = p.fsr()
-    if fsr is not None and np.any(np.abs(delta) >= fsr / 4.0):
-        warnings.warn(
-            "sideband offset beyond fsr/4; single-resonance approximation degrades",
-            stacklevel=2,
-        )
-    x = delta / p.hwhm()
+    """Complex amplitude reflectivity at signed sideband omega_hz; propagate decides its range."""
+    x = (omega_hz - p.detuning_hz) / p.hwhm()
     return 2.0 * _coupling(p) / (1.0 - 1j * x) - 1.0
 
 
@@ -159,11 +152,7 @@ class TransferPair:
 
 def quadrature_transfer(p, omega_hz):
     """Two-photon transfer pair (T, N) at positive sideband frequency omega_hz."""
-    ok = np.asarray(omega_hz) > 0.0
-    if not np.all(ok):
-        raise ValueError(
-            f"sideband frequency must be positive, got {np.extract(~ok, omega_hz)[0].item()!r}"
-        )
+    _require(np.greater(omega_hz, 0.0), omega_hz, "omega_hz must be > 0, got {!r}", ValueError)
     a = reflection(p, omega_hz)
     b = np.conj(reflection(p, -omega_hz))
     diag = 0.5 * (a + b)

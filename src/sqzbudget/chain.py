@@ -14,6 +14,7 @@ import numpy as np
 
 from . import cavity as _cavity
 from .quadcore import (
+    _require,
     apply_loss,
     apply_loss_cov,
     check_efficiency,
@@ -129,28 +130,33 @@ def propagate(sc, omega_hz):
     """Covariance at the homodyne input for sideband frequency omega_hz.
 
     omega_hz is a scalar or a 1-D array of finite, positive frequencies in
-    Hz; the scenario's display grid does not bound it.  Starts from the
-    source spectrum (escape included) and folds the stages in chain order
-    over all frequencies at once.
+    Hz; the scenario's display grid does not bound it.  This is the one place
+    that decides the model's range: each cavity with an FSR is a single
+    Lorentzian only for omega + |detuning| < fsr/4 (one given by hwhm alone
+    has no bound).  The stages fold over all frequencies at once; a term that
+    overflows counts as its exact limit (the source far above its bandwidth
+    is vacuum).  Out of range or a non-finite result raises UnphysicalError
+    naming the first bad frequency; lost positivity is an internal error.
     """
-    ok = np.isfinite(omega_hz) & (omega_hz > 0.0)
-    if not np.all(ok):
-        raise ValueError(
-            f"omega_hz must be finite and > 0, got {np.extract(~ok, omega_hz)[0].item()!r}")
-    s = generated_spectrum(sc.source, omega_hz)
+    _require(np.isfinite(omega_hz) & np.greater(omega_hz, 0.0), omega_hz,
+             "omega_hz must be finite and > 0, got {!r}", ValueError)
     for stage in sc.stages:
-        if isinstance(stage, LossElement):
-            s = apply_loss_cov(s, stage.eta)
-        else:
-            s = _cavity.quadrature_transfer(stage.params, omega_hz).apply(s)
-    ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
-    if ok.all():  # only finite values reach the positivity arithmetic
-        ok = s.is_positive_semidefinite()
-    if not np.all(ok):
-        raise RuntimeError(
-            "internal error: propagated covariance is not finite and positive semidefinite "
-            f"at {np.extract(~ok, omega_hz)[0].item()} Hz"
-        )
+        if isinstance(stage, CavityStage) and stage.params.fsr() is not None:
+            # omega + |detuning| < fsr/4, arranged so that no term overflows
+            bound = stage.params.fsr() / 4.0 - abs(stage.params.detuning_hz)
+            _require(np.less(omega_hz, bound), omega_hz,
+                     f"{stage.role} cavity: {{!r}} Hz plus |detuning| is past fsr/4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = generated_spectrum(sc.source, omega_hz)
+        for stage in sc.stages:
+            if isinstance(stage, LossElement):
+                s = apply_loss_cov(s, stage.eta)
+            else:
+                s = _cavity.quadrature_transfer(stage.params, omega_hz).apply(s)
+        ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
+        _require(ok, omega_hz, "propagated covariance is not finite at {!r} Hz")
+        _require(s.is_positive_semidefinite(), omega_hz, "internal error: propagated "
+                 "covariance is not positive semidefinite at {!r} Hz", RuntimeError)
     return s
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain as _chain
+from .quadcore import _require
 
 
 def signal_gain(p, omega_hz):
@@ -61,7 +62,8 @@ def snr_spectrum(sc, frequencies):
     :func:`sqzbudget.chain.noise_db`).  The signal is the recycling cavity's
     response, or flat 0 dB for a chain without one.  The signal path is
     untouched by squeezing, hence the improvement column equals the noise
-    suppression.
+    suppression.  :func:`sqzbudget.chain.propagate` decides the frequency
+    range; a signal column that leaves float range is refused like the noise.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     noise = _chain.noise_db(sc, freqs)
@@ -69,7 +71,9 @@ def snr_spectrum(sc, frequencies):
     if stage is None:
         signal = np.zeros_like(noise)
     else:
-        signal = 10.0 * np.log10(signal_gain(stage.params, freqs))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            signal = 10.0 * np.log10(signal_gain(stage.params, freqs))
+        _require(np.isfinite(signal), freqs, "src cavity signal gain underflows at {!r} Hz")
     return NoiseSpectrum(
         frequency_hz=freqs,
         noise_db=noise,

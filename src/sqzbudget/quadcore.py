@@ -41,28 +41,31 @@ def db_to_variance(db):
     db = float(db)
     if not math.isfinite(db):
         raise UnphysicalError(f"squeezing depth must be finite, got {db!r}")
-    return 10.0 ** (-db / 10.0)
+    try:
+        return 10.0 ** (-db / 10.0)
+    except OverflowError:
+        raise UnphysicalError(f"squeezing depth {db!r} dB has no finite variance") from None
 
 
-def _require(ok, values, message):
-    """Raise UnphysicalError naming the first element of values where ok is false.
+def _require(ok, values, message, error=UnphysicalError):
+    """Raise error(message) with its {!r} filled by the first element of values where ok is false.
 
     ok is a numpy bool or bool array; its own all() is several times cheaper
     than np.all on the short arrays and scalars of a spectrum chunk.
     """
     if not ok.all():
-        raise UnphysicalError(f"{message}, got {np.extract(~ok, values)[0].item()!r}")
+        raise error(message.format(np.extract(~ok, values)[0].item()))
 
 
 def variance_to_db(v):
     """Squeezing depth in dB for a relative variance (exact inverse of db_to_variance)."""
-    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive")
+    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
     return -10.0 * np.log10(v)
 
 
 def apply_loss(v, eta):
     """Beamsplitter loss on a single-quadrature variance: eta*v + (1 - eta)."""
-    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive")
+    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
     eta = check_efficiency(eta)
     return eta * v + (1.0 - eta)
 
@@ -86,8 +89,9 @@ class SpectralCovariance:
 
     def __post_init__(self):
         for label, value in (("s11", self.s11), ("s22", self.s22)):
-            _require(np.isfinite(value) & (value >= 0.0), value, f"{label} must be finite and >= 0")
-        _require(np.isfinite(self.s12), self.s12, "s12 must be finite")
+            _require(np.isfinite(value) & (value >= 0.0), value,
+                     f"{label} must be finite and >= 0, got {{!r}}")
+        _require(np.isfinite(self.s12), self.s12, "s12 must be finite, got {!r}")
 
     @classmethod
     def vacuum(cls):
@@ -118,10 +122,10 @@ class SpectralCovariance:
         return self.s11 * self.s22 - abs(self.s12) ** 2
 
     def is_positive_semidefinite(self, tol=1e-9):
-        """True where the covariance is positive semidefinite within tol (element-wise)."""
+        """True where S / max(1, s11, s22), free of overflow, is PSD within tol (element-wise)."""
         scale = np.maximum(1.0, np.maximum(self.s11, self.s22))
-        return ((self.s11 >= -tol * scale) & (self.s22 >= -tol * scale)
-                & (self.det() >= -tol * scale**2))
+        a, b, c = self.s11 / scale, self.s22 / scale, abs(self.s12) / scale
+        return (a >= -tol) & (b >= -tol) & (a * b - c * c >= -tol)
 
 
 def _unchecked(s11, s22, s12):

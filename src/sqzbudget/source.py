@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadcore import SpectralCovariance, UnphysicalError, apply_loss, db_to_variance
+from .quadcore import SpectralCovariance, UnphysicalError, _require, apply_loss, db_to_variance
 
 PUMP_PARAMETER_LIMIT = 0.99  # V_plus diverges as x -> 1
 
@@ -112,7 +112,7 @@ class SourceParams:
 def generated_spectrum(p, omega_hz):
     """Covariance at the OPA output (escape applied) at sideband omega_hz (scalar or array)."""
     eta = p.escape()
-    u2 = (omega_hz / p.bandwidth_hz) ** 2
+    u2 = np.square(omega_hz / p.bandwidth_hz)  # numpy even for a float: overflow obeys np.errstate
     if p.mode == "physical":
         x = pump_parameter(p.classical_gain)
         vm = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + u2)
@@ -120,10 +120,7 @@ def generated_spectrum(p, omega_hz):
     else:
         v0 = db_to_variance(p.gen_db_at_dc)
         vm_pre = 1.0 - (1.0 - v0) / (1.0 + u2)
-        if np.any(vm_pre <= 0.0):
-            raise UnphysicalError("generated squeezed variance is not positive")
+        _require(np.greater(vm_pre, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
         vm = apply_loss(vm_pre, eta)
         vp = apply_loss(1.0 / vm_pre, eta)
-    if np.any(vm <= 0.0):
-        raise UnphysicalError("generated squeezed variance is not positive")
     return SpectralCovariance.diagonal(vm, vp)

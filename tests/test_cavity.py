@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from sqzbudget.cavity import (
     reflection,
     rotation_angle,
 )
+from sqzbudget.chain import CavityStage, Scenario, propagate
 from sqzbudget.quadcore import SpectralCovariance, UnphysicalError
+from sqzbudget.source import SourceParams
 
 MHZ = 1e6
 
@@ -24,6 +27,17 @@ def test_finesse_values():
     assert finesse(0.1, 0.003) == pytest.approx(57.974580040882235, rel=1e-13)
     with pytest.raises(UnphysicalError):
         finesse(0.0)
+
+
+def test_finesse_refuses_a_coupling_below_double_precision():
+    # sqrt(1 - 1e-17) rounds to 1, so the finesse would divide by zero
+    for t_in, loss_rt in ((1e-17, 0.0), (5e-324, 0.0), (1e-17, 1e-17)):
+        with pytest.raises(UnphysicalError, match="uncoupled"):
+            finesse(t_in, loss_rt)
+        with pytest.raises(UnphysicalError, match="uncoupled"):
+            CavityParams(t_in=t_in, loss_rt=loss_rt, length_m=1.21)
+    # a loss that is resolved keeps the finesse finite
+    assert math.isfinite(finesse(1e-17, 0.003))
 
 
 def test_derive_rates_from_geometry():
@@ -103,10 +117,26 @@ def test_params_refuse_missing_rates():
     assert lossless.fsr() is None and reflection(lossless, 0.0) == 1.0
 
 
-def test_reflection_warns_past_quarter_fsr():
-    p = CavityParams(t_in=0.1, length_m=1.21)
-    with pytest.warns(UserWarning):
-        reflection(p, 40.0 * MHZ)
+def test_reflection_is_silent_past_quarter_fsr():
+    # the kernel computes at any frequency; propagate alone decides the range
+    p = CavityParams(t_in=0.1, detuning_hz=-10.0 * MHZ, length_m=1.21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(reflection(p, 40.0 * MHZ)) == pytest.approx(1.0, rel=1e-12)
+        quadrature_transfer(p, np.array([5.0, 40.0, 1e6]) * MHZ)
+    source = SourceParams(mode="direct", gen_db_at_dc=3.0, bandwidth_hz=20 * MHZ, escape_eta=1.0)
+    sc = Scenario(name="t", source=source, stages=(CavityStage("filter", p),))
+    # fsr/4 = c/(8 * 1.21 m) = 30.97 MHz, so omega + 10 MHz must stay below it
+    assert np.all(propagate(sc, np.array([5.0, 20.9]) * MHZ).s11 > 0.0)
+    with pytest.raises(UnphysicalError,
+                       match=r"^filter cavity: 21000000\.0 Hz plus \|detuning\| is past fsr/4$"):
+        propagate(sc, np.array([5.0, 21.0, 40.0]) * MHZ)
+    with pytest.raises(UnphysicalError, match=r"^filter cavity: 40000000\.0 Hz"):
+        propagate(sc, 40.0 * MHZ)
+    # a cavity given by hwhm alone has no FSR and no bound
+    hwhm_only = Scenario(name="t", source=source, stages=(
+        CavityStage("filter", CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=p.hwhm())),))
+    assert np.all(propagate(hwhm_only, np.array([21.0, 40.0, 1e6]) * MHZ).s11 > 0.0)
 
 
 @given(st.floats(min_value=0.01, max_value=60.0),

@@ -125,6 +125,26 @@ def test_propagate_checks_frequency_domain(tabletop):
             propagate(sc, np.array([5.0, -1.0, 0.0, math.nan]) * MHZ)
 
 
+def test_propagate_far_above_the_source_bandwidth_is_vacuum():
+    # (omega/bandwidth)^2 overflows to inf, whose limit is vacuum, for a Python float too
+    direct = SourceParams(mode="direct", gen_db_at_dc=6.0, bandwidth_hz=20 * MHZ, escape_eta=0.9)
+    physical = SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=20 * MHZ,
+                            t_out=0.1, loss_rt=0.01)
+    for source in (direct, physical):
+        sc = _bare_scenario(stages=_elements([0.9]), source=source)
+        for f in (1e300, np.array([1e300, 1.7e308])):
+            s = propagate(sc, f)
+            assert np.all(s.s11 == 1.0) and np.all(s.s22 == 1.0) and np.all(s.s12 == 0.0)
+
+
+def test_propagate_keeps_a_huge_finite_state(tabletop):
+    # 2000 dB of anti-squeezing at DC gives variances near 1e200, whose determinant
+    # overflows; positivity is judged on the scaled covariance, which does not
+    source = dataclasses.replace(tabletop.source, gen_db_at_dc=-2000.0)
+    s = propagate(dataclasses.replace(tabletop, source=source), np.array([5.0, 10.0, 15.0]) * MHZ)
+    assert np.all(s.s11 > 1e190) and np.all(s.is_positive_semidefinite())
+
+
 def test_propagate_names_first_unphysical_frequency(monkeypatch):
     # a source that is not positive semidefinite at 7 and 9 MHz stands in for a broken stage
     def broken(p, omega_hz):
@@ -138,7 +158,7 @@ def test_propagate_names_first_unphysical_frequency(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_propagate_refuses_a_non_finite_stage(bad, monkeypatch):
     # the first loss stage yields a non-finite s11 at 7 MHz; the unchecked folds
-    # after it carry that to propagate's exit check
+    # after it carry that to propagate's exit check, which refuses it as out of range
     real = chain.apply_loss_cov
     calls = []
 
@@ -152,7 +172,7 @@ def test_propagate_refuses_a_non_finite_stage(bad, monkeypatch):
         return quadcore._unchecked(s11, out.s22, out.s12)
 
     monkeypatch.setattr(chain, "apply_loss_cov", broken)
-    with pytest.raises(RuntimeError, match="not finite .* at 7000000.0 Hz"):
+    with pytest.raises(UnphysicalError, match="not finite at 7000000.0 Hz"):
         propagate(_bare_scenario(stages=_elements([0.9, 0.8])), np.array([1.0, 7.0, 9.0]) * MHZ)
     assert calls == [0.9, 0.8]
 

@@ -62,18 +62,22 @@ def test_chunked_spectrum_matches_golden(name, golden_dir, monkeypatch):
     assert text == (golden_dir / f"{name}_spectrum.csv").read_text(encoding="utf-8")
 
 
+def _run_module(argv):
+    """A fresh ``python -W error -m sqzbudget`` process, as a user starts it."""
+    src = str(pathlib.Path(sqzbudget.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "sqzbudget", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("argv,golden", [
     (["budget", bundled_scenario_path("tabletop")], "tabletop_budget.txt"),
     (["spectrum", bundled_scenario_path("geo600")], "geo600_spectrum.csv"),
     (["sweep", "--input-db", "10"], "sweep_input_10.csv"),
 ], ids=["budget-tabletop", "spectrum-geo600", "sweep-10"])
 def test_module_entry_point_matches_golden(argv, golden, golden_dir):
-    # a fresh ``python -m sqzbudget`` process, as a user starts it
-    src = str(pathlib.Path(sqzbudget.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sqzbudget", *argv],
-                          capture_output=True, env=env, timeout=60)
+    proc = _run_module(argv)
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout == (golden_dir / golden).read_bytes()
@@ -216,6 +220,59 @@ def test_invalid_escape_exits_3(escape, message, tmp_path, capsys):
         assert code == 3
         assert text == ""
         assert _only_error_line(capsys) == message
+
+
+@pytest.mark.parametrize("fmax", ["200", "1e300"])
+def test_band_past_quarter_fsr_exits_3(fmax, capsys):
+    # the 1.21 m tabletop cavities, 10 MHz detuned, hold up to ~21 MHz; past
+    # that the band is refused once, with the first bad frequency, not warned about
+    argv = ["spectrum", bundled_scenario_path("tabletop"), "--fmin-mhz", "1", "--fmax-mhz", fmax]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(argv)
+    assert code == 3
+    assert text == ""
+    line = _only_error_line(capsys)
+    assert line.startswith("error: filter cavity: ")
+    assert line.endswith(" Hz plus |detuning| is past fsr/4")
+    proc = _run_module(argv)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [line]
+
+
+def _tabletop_with(tmp_path, old, new):
+    """Path of a copy of the tabletop scenario with one line replaced."""
+    text = pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    scn = tmp_path / "tabletop_variant.scn"
+    scn.write_text(text.replace(old, new), encoding="utf-8")
+    return str(scn)
+
+
+def test_squeezing_depth_without_finite_variance_exits_3(tmp_path, capsys):
+    # -1e5 dB is 1e10000 in variance, beyond float range
+    scn = _tabletop_with(tmp_path, "gen_db_at_dc = 5.7", "gen_db_at_dc = -1e5")
+    message = "error: squeezing depth -100000.0 dB has no finite variance"
+    for argv in (["budget", scn], ["spectrum", scn], ["sweep", "--input-db=-1e5"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(argv)
+        assert code == 3
+        assert text == ""
+        assert _only_error_line(capsys) == message
+
+
+def test_coupling_below_double_precision_exits_3(tmp_path, capsys):
+    # t_in = 1e-17 leaves sqrt(1 - t_in) at 1, an infinite finesse
+    scn = _tabletop_with(tmp_path, "t_in = 0.1\nloss_rt = 0.003", "t_in = 1e-17\nloss_rt = 0")
+    for command in ("budget", "spectrum"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run([command, scn])
+        assert code == 3
+        assert text == ""
+        assert _only_error_line(capsys) == "error: t_in = 1e-17 leaves the cavity uncoupled"
 
 
 def test_bad_spectrum_range_exits_2(capsys):

@@ -13,12 +13,14 @@ from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
     LossElement,
+    Scenario,
     homodyne_readout,
     noise_db,
     propagate,
 )
 from sqzbudget.interferometer import NoiseSpectrum, signal_gain, snr_spectrum
-from sqzbudget.quadcore import SpectralCovariance, variance_to_db
+from sqzbudget.quadcore import SpectralCovariance, UnphysicalError, variance_to_db
+from sqzbudget.source import SourceParams
 
 from conftest import load_bundled
 
@@ -187,11 +189,31 @@ def test_chunked_spectrum_matches_scalar_path(name, monkeypatch):
             assert np.max(np.abs(ns.signal_db - signal)) <= 1e-12
 
 
-def test_spectrum_warns_only_past_quarter_fsr(tabletop):
+def test_spectrum_refuses_past_quarter_fsr(tabletop):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         snr_spectrum(tabletop, tabletop.grid.frequencies())
-    # both 1.21 m cavities sit 10 MHz from the carrier; fsr/4 is ~31 MHz
+    # both 1.21 m cavities sit 10 MHz from the carrier and fsr/4 is ~31 MHz, so
+    # the band must end below ~21 MHz; the filter cavity comes first in the chain
     wide = dataclasses.replace(tabletop, grid=FrequencyGrid(5 * MHZ, 25 * MHZ, 41))
-    with pytest.warns(UserWarning, match="fsr/4"):
+    with pytest.raises(UnphysicalError, match=r"^filter cavity: 21000000\.0 Hz .* fsr/4$"):
         snr_spectrum(wide, wide.grid.frequencies())
+
+
+def test_spectrum_far_above_every_linewidth():
+    # cavities given by hwhm alone have no fsr/4 bound.  Far above every
+    # linewidth the source term overflows to its limit, vacuum, and prints as
+    # 0 dB; the recycling cavity's signal gain underflows to zero and is refused.
+    source = SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=20 * MHZ,
+                          t_out=0.1, loss_rt=0.01)
+    fc = CavityStage("filter", CavityParams(detuning_hz=-10 * MHZ, hwhm_hz=1 * MHZ))
+    src = CavityStage("src", CavityParams(detuning_hz=10 * MHZ, hwhm_hz=1 * MHZ))
+    freqs = np.array([5 * MHZ, 1e100, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ns = snr_spectrum(Scenario(name="t", source=source, stages=(fc,)), freqs)
+        assert math.isfinite(ns.noise_db[0]) and list(ns.noise_db[1:]) == [0.0, 0.0]
+        assert ns.signal_db[-1] == 0.0  # no recycling cavity: flat signal
+        with pytest.raises(UnphysicalError,
+                           match=r"^src cavity signal gain underflows at 1e\+300 Hz$"):
+            snr_spectrum(Scenario(name="t", source=source, stages=(fc, src)), freqs)

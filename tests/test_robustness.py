@@ -1,0 +1,120 @@
+"""Robustness contract of the CLI, fuzzed.
+
+Any scenario file and any spectrum band end in exit 0, 2 or 3.  A non-zero
+exit prints exactly one ``error:`` line on stderr (an argparse usage error
+may instead raise ``SystemExit(2)``), nothing leaks a warning, and exit 0
+prints only finite numbers.  The inputs are the tabletop scenario and a
+physical-mode chain whose cavities are given by hwhm alone (no FSR, so no
+fsr/4 bound), with one or two numeric values replaced by any float.
+"""
+
+import contextlib
+import io
+import math
+import pathlib
+import re
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqzbudget.cli import entry
+
+from conftest import bundled_scenario_path
+
+PHYSICAL_HWHM = """\
+[source]
+mode = physical
+classical_gain = 10
+bandwidth_mhz = 20
+t_out = 0.1
+loss_rt = 0.01
+
+[filter_cavity]
+detuning_mhz = -10
+hwhm_mhz = 1.0
+
+[src]
+t_in = 0.1
+loss_rt = 0.003
+detuning_mhz = 10
+hwhm_mhz = 1.0
+
+[losses]
+isolator = 0.94 @ isolator_rotator
+filter_cavity = @cavity
+src = @cavity
+photodiode = 0.93 @ photodiode
+
+[detection]
+homodyne_angle = 0.3
+
+[grid]
+fmin_mhz = 5
+fmax_mhz = 15
+points = 21
+"""
+
+TEXTS = (pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8"),
+         PHYSICAL_HWHM)
+
+# the value of a "key = number" or "name = number @ category" line
+NUMBER = re.compile(r"^[^=\n]+= *(-?[0-9][0-9.e+-]*)", re.M)
+
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                     1e308, -1e308, 1.7976931348623157e308, -1e5, 1e300]),
+)
+
+
+@st.composite
+def cases(draw):
+    text = draw(st.sampled_from(TEXTS))
+    spans = [m.span(1) for m in NUMBER.finditer(text)]
+    picks = draw(st.lists(st.sampled_from(spans), min_size=1, max_size=2, unique=True))
+    for start, end in sorted(picks, reverse=True):
+        text = text[:start] + repr(draw(ANY_FLOAT)) + text[end:]
+    command = draw(st.sampled_from(["budget", "spectrum"]))
+    options = []
+    if command == "spectrum":
+        # the "=" form: argparse would read a bare "-8e-262" as an option
+        for flag in ("--fmin-mhz", "--fmax-mhz"):
+            if draw(st.booleans()):
+                options.append(f"{flag}={draw(ANY_FLOAT)!r}")
+        if draw(st.booleans()):
+            # linspace allocates the whole grid, so the count stays small
+            options.append(f"--points={draw(st.integers(2, 50))}")
+    return text, command, options
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.scn"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(cases())
+def test_any_input_exits_cleanly(scenario_path, case):
+    text, command, options = case
+    scenario_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = entry([command, str(scenario_path), *options], out=out)
+        except SystemExit as exc:  # an argparse usage error
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return
+    assert err.getvalue() == ""
+    if command == "spectrum":
+        for row in out.getvalue().splitlines()[1:]:
+            assert all(math.isfinite(float(x)) for x in row.split(",")), row
+    else:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()
