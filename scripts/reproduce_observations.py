@@ -13,6 +13,7 @@ import numpy as np
 
 from sqzbudget import (
     SpectralCovariance,
+    apply_cavity,
     apply_loss,
     build_budget,
     db_to_variance,
@@ -20,7 +21,6 @@ from sqzbudget import (
     homodyne_readout,
     load_scenario,
     propagate,
-    quadrature_transfer,
     snr_spectrum,
     variance_to_db,
 )
@@ -52,7 +52,7 @@ def main():
     state = SpectralCovariance.diagonal(0.1, 10.0)
     depth = [
         variance_to_db(min(np.linalg.eigvalsh(
-            quadrature_transfer(src_stage.params, f).apply(state).matrix()
+            apply_cavity(state, src_stage.params, f).matrix()
         ).real))
         for f in ns.frequency_hz
     ]

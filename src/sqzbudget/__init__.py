@@ -8,9 +8,8 @@ is normalized to shot noise; squeezing in dB is positive below shot noise.
 
 from .cavity import (
     CavityParams,
-    TransferPair,
+    apply_cavity,
     finesse,
-    quadrature_transfer,
     reflection,
     rotation_angle,
 )
@@ -57,8 +56,8 @@ __all__ = [
     "ScenarioParseError",
     "SourceParams",
     "SpectralCovariance",
-    "TransferPair",
     "UnphysicalError",
+    "apply_cavity",
     "apply_loss",
     "apply_loss_cov",
     "build_budget",
@@ -74,7 +73,6 @@ __all__ = [
     "parse_scenario",
     "propagate",
     "pump_parameter",
-    "quadrature_transfer",
     "reflection",
     "rotation_angle",
     "signal_gain",

@@ -19,16 +19,22 @@ FSR (:meth:`CavityParams.fsr`).  The functions here compute past fsr/4 too;
 
 A detuned cavity treats the two sidebands of a quadrature pair differently.
 In the two-photon picture the quadrature-domain transfer at sideband
-frequency omega follows in closed form from a = r(+omega) and
-b = conj(r(-omega)):
+frequency omega follows from a = r(+omega) and b = conj(r(-omega)):
 
-    T = 1/2 [[a + b, i(a - b)], [-i(a - b), a + b]]
+    T = [[d, o], [-o, d]],  d = (a + b)/2,  o = i(a - b)/2
 
 For a lossless cavity T is (up to a global phase) a rotation of the squeezing
-ellipse; with round-trip loss the missing power is refilled with vacuum via
-N = I - T @ T^dagger, and covariances propagate as S' = T S T^dagger + N.
-Every function takes omega as a scalar or a 1-D array; matrices carry the
-frequency axis last, so ``t[i, j]`` is one element across all frequencies.
+ellipse; with round-trip loss the missing power is refilled with vacuum, and
+:func:`apply_cavity` maps a covariance to S' = T S T^dagger + I - T T^dagger.
+With dd = |d|^2, oo = |o|^2, c = d*conj(o) and fill = 1 - (dd + oo) that is
+
+    s11' = dd*s11 + oo*s22 + 2 Re(c*s12) + fill
+    s22' = oo*s11 + dd*s22 - 2 Re(conj(c)*s12) + fill
+    s12' = dd*s12 - oo*conj(s12) - c*s11 + conj(c)*s22 + (c - conj(c))
+
+The fill is added last, so vacuum (s11 = s22 = 1, s12 = 0) comes back as
+vacuum bit for bit.  Every function takes omega as a scalar or a 1-D array
+and works element-wise.
 """
 
 import cmath
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadcore import UnphysicalError, _require, _unchecked
+from .quadcore import UnphysicalError, _unchecked
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
@@ -52,7 +58,8 @@ class CavityParams:
     :meth:`hwhm`: fsr = c/(2L) unless ``fsr_hz`` is given, and
     hwhm = fsr/(2*finesse) unless ``hwhm_hz`` is given (explicit
     configuration wins over geometry, so a cavity may be specified by hwhm
-    alone).  A lossy cavity needs ``t_in`` to fix its coupling ratio.
+    alone); a derived rate of 0 or inf is refused.  A lossy cavity needs
+    ``t_in`` to fix its coupling ratio.
     ``dataclasses.replace`` derives the rates again, and ``==`` compares
     the given fields.
     """
@@ -87,6 +94,9 @@ class CavityParams:
             hwhm = fsr / (2.0 * finesse(self.t_in, self.loss_rt))
         if self.loss_rt != 0.0 and self.t_in is None:
             raise ValueError("a lossy cavity needs t_in to fix the coupling ratio")
+        for label, value in (("fsr", fsr), ("hwhm", hwhm)):
+            if value is not None and not 0.0 < value < math.inf:
+                raise UnphysicalError(f"derived {label} must be positive and finite, got {value!r}")
         object.__setattr__(self, "_fsr", fsr)
         object.__setattr__(self, "_hwhm", hwhm)
 
@@ -121,50 +131,26 @@ def reflection(p, omega_hz):
     return 2.0 * _coupling(p) / (1.0 - 1j * x) - 1.0
 
 
-def _outer_dagger(x0, x1, y0, y1):
-    """Element (i, j) of X Y^dagger given row i of X and row j of Y."""
-    return x0 * np.conj(y0) + x1 * np.conj(y1)
+def apply_cavity(s, p, omega_hz):
+    """Reflect covariance s off the cavity at sideband omega_hz: T S T^dagger + I - T T^dagger.
 
-
-@dataclass(frozen=True)
-class TransferPair:
-    """Quadrature transfer matrix T and vacuum-fill matrix N = I - T T^dagger.
-
-    Both have shape (2, 2) at one frequency and (2, 2, n) over n frequencies.
+    The closed form of the module docstring, element by element; the vacuum
+    fill goes in last, so vacuum maps to vacuum bit for bit.
     """
-
-    t: np.ndarray
-    n: np.ndarray
-
-    def apply(self, s):
-        """Propagate a covariance: S' = T S T^dagger + N, element by element."""
-        (t00, t01), (t10, t11) = self.t
-        s21 = np.conj(s.s12)
-        # rows of T S
-        u0 = (t00 * s.s11 + t01 * s21, t00 * s.s12 + t01 * s.s22)
-        u1 = (t10 * s.s11 + t11 * s21, t10 * s.s12 + t11 * s.s22)
-        return _unchecked(
-            (_outer_dagger(*u0, t00, t01) + self.n[0, 0]).real,
-            (_outer_dagger(*u1, t10, t11) + self.n[1, 1]).real,
-            _outer_dagger(*u0, t10, t11) + self.n[0, 1],
-        )
-
-
-def quadrature_transfer(p, omega_hz):
-    """Two-photon transfer pair (T, N) at positive sideband frequency omega_hz."""
-    _require(np.greater(omega_hz, 0.0), omega_hz, "omega_hz must be > 0, got {!r}", ValueError)
     a = reflection(p, omega_hz)
     b = np.conj(reflection(p, -omega_hz))
-    diag = 0.5 * (a + b)
-    off = 0.5j * (a - b)
-    t00, t01, t10, t11 = diag, off, -off, diag
-    # with S = I, apply() repeats these products exactly, so vacuum maps to vacuum bit for bit
-    tt00 = _outer_dagger(t00, t01, t00, t01)
-    tt01 = _outer_dagger(t00, t01, t10, t11)
-    tt11 = _outer_dagger(t10, t11, t10, t11)
-    t = np.array([[t00, t01], [t10, t11]])
-    n = np.array([[1.0 - tt00, -tt01], [-np.conj(tt01), 1.0 - tt11]])
-    return TransferPair(t, n)
+    d = 0.5 * (a + b)
+    o = 0.5j * (a - b)
+    dd = d.real * d.real + d.imag * d.imag
+    oo = o.real * o.real + o.imag * o.imag
+    c = d * np.conj(o)
+    cc = np.conj(c)
+    fill = 1.0 - (dd + oo)
+    return _unchecked(
+        dd * s.s11 + oo * s.s22 + 2.0 * (c * s.s12).real + fill,
+        oo * s.s11 + dd * s.s22 - 2.0 * (cc * s.s12).real + fill,
+        dd * s.s12 - oo * np.conj(s.s12) - c * s.s11 + cc * s.s22 + (c - cc),
+    )
 
 
 def rotation_angle(p, omega_hz):

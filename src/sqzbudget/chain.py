@@ -152,7 +152,7 @@ def propagate(sc, omega_hz):
             if isinstance(stage, LossElement):
                 s = apply_loss_cov(s, stage.eta)
             else:
-                s = _cavity.quadrature_transfer(stage.params, omega_hz).apply(s)
+                s = _cavity.apply_cavity(s, stage.params, omega_hz)
         ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
         _require(ok, omega_hz, "propagated covariance is not finite at {!r} Hz")
         _require(s.is_positive_semidefinite(), omega_hz, "internal error: propagated "

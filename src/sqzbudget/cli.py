@@ -1,6 +1,7 @@
 """Command-line interface: budget tables, spectrum CSVs, efficiency sweeps.
 
-Exit codes: 0 success, 2 parse or usage error, 3 physically invalid model.
+Exit codes: 0 success, 2 parse or usage error (or a grid too large to allocate),
+3 physically invalid model.
 All frequencies on the command line and in output are MHz; dB values are
 printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)``
 may be called repeatedly in one process; the parser is built once, on first use.
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import chain, interferometer
 from .quadcore import UnphysicalError
-from .scenario_io import ScenarioParseError, load_scenario
+from .scenario_io import load_scenario
 
 
 def _csv_lines(columns):
@@ -115,7 +116,7 @@ def entry(argv=None, out=None):
     except UnphysicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # ScenarioParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

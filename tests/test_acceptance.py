@@ -11,7 +11,7 @@ import io
 
 import numpy as np
 
-from sqzbudget.cavity import CavityParams, quadrature_transfer, rotation_angle
+from sqzbudget.cavity import CavityParams, apply_cavity, rotation_angle
 from sqzbudget.chain import (
     FrequencyGrid,
     LossElement,
@@ -22,7 +22,7 @@ from sqzbudget.chain import (
 )
 from sqzbudget.cli import entry
 from sqzbudget.interferometer import signal_gain, snr_spectrum
-from sqzbudget.quadcore import apply_loss, db_to_variance, variance_to_db
+from sqzbudget.quadcore import SpectralCovariance, apply_loss, db_to_variance, variance_to_db
 from sqzbudget.source import SourceParams, escape_efficiency
 
 MHZ = 1e6
@@ -89,9 +89,10 @@ def test_criterion_6_property_suite(tabletop):
     # lossless cavity transfer is unitary at 1000 random frequencies
     rng = np.random.default_rng(42)
     cav = CavityParams(detuning_hz=-10 * MHZ, hwhm_hz=1.039 * MHZ)
-    for omega in rng.uniform(0.01 * MHZ, 60 * MHZ, size=1000):
-        pair = quadrature_transfer(cav, omega)
-        assert np.allclose(pair.t @ pair.t.conj().T, np.eye(2), atol=1e-10)
+    # (T T^dagger = I: the image of the zero state, I - T T^dagger, vanishes)
+    fill = apply_cavity(SpectralCovariance(0.0, 0.0), cav,
+                        rng.uniform(0.01 * MHZ, 60 * MHZ, size=1000))
+    assert np.allclose((fill.s11, fill.s22, fill.s12), 0.0, atol=1e-10)
 
     # opposite detunings cancel the rotation
     for _ in range(200):

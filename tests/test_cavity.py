@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from sqzbudget.cavity import (
     SPEED_OF_LIGHT,
     CavityParams,
+    apply_cavity,
     finesse,
-    quadrature_transfer,
     reflection,
     rotation_angle,
 )
@@ -123,7 +123,7 @@ def test_reflection_is_silent_past_quarter_fsr():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert abs(reflection(p, 40.0 * MHZ)) == pytest.approx(1.0, rel=1e-12)
-        quadrature_transfer(p, np.array([5.0, 40.0, 1e6]) * MHZ)
+        apply_cavity(SpectralCovariance.vacuum(), p, np.array([5.0, 40.0, 1e6]) * MHZ)
     source = SourceParams(mode="direct", gen_db_at_dc=3.0, bandwidth_hz=20 * MHZ, escape_eta=1.0)
     sc = Scenario(name="t", source=source, stages=(CavityStage("filter", p),))
     # fsr/4 = c/(8 * 1.21 m) = 30.97 MHz, so omega + 10 MHz must stay below it
@@ -139,38 +139,69 @@ def test_reflection_is_silent_past_quarter_fsr():
     assert np.all(propagate(hwhm_only, np.array([21.0, 40.0, 1e6]) * MHZ).s11 > 0.0)
 
 
+def _vacuum_fill(p, omega_hz):
+    """N = I - T T^dagger, read as the image of the zero state."""
+    n = apply_cavity(SpectralCovariance(0.0, 0.0), p, omega_hz)
+    return n.s11, n.s22, n.s12
+
+
 @given(st.floats(min_value=0.01, max_value=60.0),
        st.floats(min_value=-30.0, max_value=30.0),
        st.floats(min_value=0.05, max_value=5.0))
 def test_lossless_transfer_is_unitary(omega_mhz, detuning_mhz, hwhm_mhz):
+    # T T^dagger = I leaves no vacuum to fill in
     p = CavityParams(detuning_hz=detuning_mhz * MHZ, hwhm_hz=hwhm_mhz * MHZ)
-    pair = quadrature_transfer(p, omega_mhz * MHZ)
-    assert np.allclose(pair.t @ pair.t.conj().T, np.eye(2), atol=1e-12)
-    assert np.allclose(pair.n, 0.0, atol=1e-12)
+    assert np.allclose(_vacuum_fill(p, omega_mhz * MHZ), 0.0, atol=1e-12)
 
 
 def test_lossless_transfer_unitary_at_many_frequencies():
     rng = np.random.default_rng(7)
     p = CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=1.039 * MHZ)
-    for omega in rng.uniform(0.01 * MHZ, 60.0 * MHZ, size=1000):
-        pair = quadrature_transfer(p, omega)
-        assert np.allclose(pair.t @ pair.t.conj().T, np.eye(2), atol=1e-10)
+    omega = rng.uniform(0.01 * MHZ, 60.0 * MHZ, size=1000)
+    assert np.allclose(_vacuum_fill(p, omega), 0.0, atol=1e-10)
 
 
-def test_transfer_matrix_frozen_values():
-    p = CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=1.039 * MHZ)
-    t = quadrature_transfer(p, 10.0 * MHZ).t
-    diag = 0.0026915385689811871 + 0.051810174571341427j
-    off = -0.051810174571341427 - 0.99730846143101881j
-    assert t[0, 0] == pytest.approx(diag, rel=1e-12)
-    assert t[1, 1] == pytest.approx(diag, rel=1e-12)
-    assert t[0, 1] == pytest.approx(off, rel=1e-12)
-    assert t[1, 0] == pytest.approx(-off, rel=1e-12)
+def _transfer_matrix(p, omega_hz):
+    """T at one frequency, built from reflection as the module docstring writes it."""
+    a = reflection(p, omega_hz)
+    b = np.conj(reflection(p, -omega_hz))
+    return 0.5 * np.array([[a + b, 1j * (a - b)], [-1j * (a - b), a + b]])
+
+
+cavities = st.builds(
+    lambda detuning_mhz, hwhm_mhz, t_in, loss_rt: CavityParams(
+        t_in=t_in, loss_rt=loss_rt, detuning_hz=detuning_mhz * MHZ, hwhm_hz=hwhm_mhz * MHZ),
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.floats(min_value=0.05, max_value=5.0),
+    st.floats(min_value=0.01, max_value=0.5),
+    st.sampled_from((0.0, 1e-4, 0.003, 0.05, 0.4)))
+
+
+@given(cavities,
+       st.floats(min_value=0.01, max_value=60.0),
+       st.floats(min_value=0.0, max_value=15.0),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.floats(min_value=-0.4, max_value=0.4))
+def test_apply_cavity_matches_the_matrix_product(p, omega_mhz, db, theta, phase):
+    # the closed form against S' = T S T^dagger + I - T T^dagger as matrices
+    v = 10.0 ** (-db / 10.0)
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.array([[c, -s], [s, c]])
+    m = r @ np.diag([v, 1.0 / v]) @ r.T + phase * np.array([[0.0, 1j], [-1j, 0.0]]) * v
+    state = SpectralCovariance.from_matrix(m)
+    t = _transfer_matrix(p, omega_mhz * MHZ)
+    expected = t @ state.matrix() @ t.conj().T + np.eye(2) - t @ t.conj().T
+    out = apply_cavity(state, p, omega_mhz * MHZ)
+    assert np.allclose(out.matrix(), expected, rtol=0.0, atol=1e-12)
+    # vacuum comes back bit for bit, across the band as well as at omega
+    omegas = np.append(np.linspace(0.01, 60.0, 201), omega_mhz) * MHZ
+    vac = apply_cavity(SpectralCovariance.vacuum(), p, omegas)
+    assert np.all(vac.s11 == 1.0) and np.all(vac.s22 == 1.0) and np.all(vac.s12 == 0.0)
 
 
 def test_transfer_applied_to_squeezing_frozen_values():
     p = CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=1.039 * MHZ)
-    out = quadrature_transfer(p, 10.0 * MHZ).apply(SpectralCovariance.diagonal(0.1, 10.0))
+    out = apply_cavity(SpectralCovariance.diagonal(0.1, 10.0), p, 10.0 * MHZ)
     assert out.s11 == pytest.approx(9.9733537681670862, rel=1e-12)
     assert out.s22 == pytest.approx(0.12664623183291375, rel=1e-12)
     assert out.s12 == pytest.approx(-0.51292072825628013 + 0j, rel=1e-12)
@@ -179,26 +210,16 @@ def test_transfer_applied_to_squeezing_frozen_values():
 
 def test_lossy_transfer_frozen_values():
     p = CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=10.0 * MHZ, length_m=1.21)
-    pair = quadrature_transfer(p, 10.0 * MHZ)
-    assert pair.n[0, 0] == pytest.approx(0.056716691090936737, rel=1e-12)
-    assert pair.n[1, 1] == pytest.approx(0.056716691090936737, rel=1e-12)
-    assert pair.n[0, 1] == pytest.approx(0.056394818005113786j, rel=1e-12)
-    out = pair.apply(SpectralCovariance.diagonal(0.1, 10.0))
+    n11, n22, n12 = _vacuum_fill(p, 10.0 * MHZ)
+    assert n11 == pytest.approx(0.056716691090936737, rel=1e-12)
+    assert n22 == pytest.approx(0.056716691090936737, rel=1e-12)
+    assert n12 == pytest.approx(0.056394818005113786j, rel=1e-12)
+    out = apply_cavity(SpectralCovariance.diagonal(0.1, 10.0), p, 10.0 * MHZ)
     assert out.s11 == pytest.approx(9.4561899928256178, rel=1e-12)
     assert out.s22 == pytest.approx(0.18440480933779468, rel=1e-12)
     assert out.s12 == pytest.approx(0.48217269407140181 - 0.22839901292071083j, rel=1e-12)
     assert out.is_positive_semidefinite()
     assert out.det() >= 1.0
-
-
-def test_transfer_rejects_nonpositive_frequency():
-    p = CavityParams(detuning_hz=0.0, hwhm_hz=1.0 * MHZ)
-    with pytest.raises(ValueError):
-        quadrature_transfer(p, 0.0)
-    with pytest.raises(ValueError):
-        quadrature_transfer(p, -1.0 * MHZ)
-    with pytest.raises(ValueError, match="got 0.0"):
-        quadrature_transfer(p, np.array([1.0, 0.0, -1.0]) * MHZ)
 
 
 def test_rotation_angle_frozen_value():
@@ -226,7 +247,7 @@ def test_lossless_transfer_acts_as_rotation(omega_mhz, detuning_mhz, hwhm_mhz, d
     p = CavityParams(detuning_hz=detuning_mhz * MHZ, hwhm_hz=hwhm_mhz * MHZ)
     v = 10.0 ** (-db / 10.0)
     s = SpectralCovariance.diagonal(v, 1.0 / v)
-    out = quadrature_transfer(p, omega_mhz * MHZ).apply(s)
+    out = apply_cavity(s, p, omega_mhz * MHZ)
     r = _rotation(rotation_angle(p, omega_mhz * MHZ))
     expected = r @ s.matrix().real @ r.T
     assert np.allclose(out.matrix(), expected, atol=1e-10)

@@ -275,6 +275,39 @@ def test_coupling_below_double_precision_exits_3(tmp_path, capsys):
         assert _only_error_line(capsys) == "error: t_in = 1e-17 leaves the cavity uncoupled"
 
 
+@pytest.mark.parametrize("rates,message", [
+    ("t_in = 0.1\ndetuning_mhz = -10\nlength_m = 5e-324",
+     "error: derived fsr must be positive and finite, got inf"),
+    ("t_in = 1e-15\ndetuning_mhz = -10\nfsr_mhz = 5e-324",
+     "error: derived hwhm must be positive and finite, got 0.0"),
+], ids=["fsr-inf", "hwhm-zero"])
+def test_degenerate_cavity_rates_exit_3(rates, message, tmp_path, capsys):
+    # a length or fsr at the edge of double range derives an fsr or hwhm of inf or 0
+    scn = _tabletop_with(tmp_path, "t_in = 0.1\ndetuning_mhz = -10\nlength_m = 1.21", rates)
+    for command in ("budget", "spectrum"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run([command, scn])
+        assert code == 3
+        assert text == ""
+        assert _only_error_line(capsys) == message
+
+
+def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 1e17 points are 711 PiB of float64, beyond any 64-bit address space, so
+    # numpy refuses the array without reserving memory for it
+    huge = "100000000000000000"
+    scn = _tabletop_with(tmp_path, "points = 201", f"points = {huge}")
+    for argv in (["spectrum", bundled_scenario_path("tabletop"), "--points", huge],
+                 ["spectrum", scn]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(argv)
+        assert code == 2
+        assert text == ""
+        assert "Unable to allocate" in _only_error_line(capsys)
+
+
 def test_bad_spectrum_range_exits_2(capsys):
     code, _ = run(["spectrum", bundled_scenario_path("tabletop"),
                    "--fmin-mhz", "15", "--fmax-mhz", "5"])

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqzbudget import chain
-from sqzbudget.cavity import CavityParams, quadrature_transfer
+from sqzbudget.cavity import CavityParams, apply_cavity
 from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
@@ -32,7 +32,7 @@ def test_lossless_reflection_preserves_squeezing_magnitude():
                        hwhm_hz=1.039 * MHZ)
     state = SpectralCovariance.diagonal(0.1, 10.0)
     for f_mhz in (5.0, 9.0, 10.0, 11.0, 15.0):
-        out = quadrature_transfer(cav, f_mhz * MHZ).apply(state)
+        out = apply_cavity(state, cav, f_mhz * MHZ)
         eig = np.linalg.eigvalsh(out.matrix()).real
         assert min(eig) == pytest.approx(0.1, rel=1e-10)
         assert max(eig) == pytest.approx(10.0, rel=1e-10)
@@ -40,11 +40,12 @@ def test_lossless_reflection_preserves_squeezing_magnitude():
 
 def test_far_detuned_reflection_is_minus_identity():
     cav = CavityParams(t_in=0.1, detuning_hz=10 * MHZ, hwhm_hz=0.1 * MHZ)
-    pair = quadrature_transfer(cav, 300 * MHZ)
-    assert np.allclose(pair.t, -np.eye(2), atol=1e-3)
-    state = SpectralCovariance.diagonal(0.1, 10.0)
-    out = pair.apply(state)
-    assert out.s11 == pytest.approx(0.1, rel=1e-4)
+    # T = -I hands back any state, rotated or not, unchanged
+    state = SpectralCovariance(0.1, 10.0, 0.5 - 0.25j)
+    out = apply_cavity(state, cav, 300 * MHZ)
+    assert np.allclose(out.matrix(), state.matrix(), rtol=0.0, atol=1e-3)
+    assert apply_cavity(SpectralCovariance.diagonal(0.1, 10.0), cav, 300 * MHZ).s11 == (
+        pytest.approx(0.1, rel=1e-4))
 
 
 def test_lossy_reflection_dips_at_detuning(tabletop):
@@ -53,7 +54,7 @@ def test_lossy_reflection_dips_at_detuning(tabletop):
     freqs = np.linspace(5 * MHZ, 15 * MHZ, 401)
     depth = []
     for f in freqs:
-        out = quadrature_transfer(p, f).apply(state)
+        out = apply_cavity(state, p, f)
         depth.append(variance_to_db(min(np.linalg.eigvalsh(out.matrix()).real)))
     worst = freqs[int(np.argmin(depth))]
     assert abs(worst - p.detuning_hz) <= p.hwhm()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget.cavity import CavityParams, quadrature_transfer
+from sqzbudget.cavity import CavityParams, apply_cavity
 from sqzbudget.quadcore import (
     SpectralCovariance,
     UnphysicalError,
@@ -115,8 +115,8 @@ def test_apply_loss_cov_matches_scalar_on_diagonal():
 def test_stage_folds_build_frozen_covariances():
     s = SpectralCovariance(0.1, 10.0, 0.5 - 0.25j)
     lossy = apply_loss_cov(s, 0.65)
-    turned = quadrature_transfer(CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=1e7,
-                                              length_m=1.21), 8e6).apply(s)
+    turned = apply_cavity(s, CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=1e7,
+                                          length_m=1.21), 8e6)
     for out in (lossy, turned):
         assert type(out) is SpectralCovariance
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -160,6 +160,8 @@ def test_round_trip_is_identity(sc):
     lambda: CavityParams(t_in=0.1, length_m=1.21, detuning_hz=-math.inf),
     lambda: CavityParams(t_in=0.1, length_m=math.inf),
     lambda: CavityParams(hwhm_hz=math.nan),
+    lambda: CavityParams(t_in=0.1, length_m=5e-324),
+    lambda: CavityParams(t_in=0.9, fsr_hz=5e-324),
     lambda: Scenario("s", SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
                                        escape_eta=0.9), homodyne_angle=math.nan),
     lambda: Scenario("s", SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
@@ -168,7 +170,7 @@ def test_round_trip_is_identity(sc):
         "", "a=b", "a\nb", "a\rb", "a\u2028b", "#x", "[x", " pad", "pad ", "pad\n",
         "filter_cavity", "src")],
 ], ids=["bandwidth-inf", "bandwidth-nan", "detuning-nan", "detuning-inf", "length-inf",
-        "hwhm-nan", "angle-nan", "angle-inf", "name-empty", "name-equals", "name-newline",
+        "hwhm-nan", "derived-rates-inf", "derived-hwhm-zero", "angle-nan", "angle-inf", "name-empty", "name-equals", "name-newline",
         "name-return", "name-line-separator", "name-comment", "name-bracket",
         "name-leading-space", "name-trailing-space", "name-trailing-newline",
         "name-filter-cavity", "name-src"])
