@@ -86,7 +86,7 @@ class CavityParams:
             raise UnphysicalError(f"detuning_hz must be finite, got {self.detuning_hz!r}")
         fsr = self.fsr_hz
         if fsr is None and self.length_m is not None:
-            fsr = SPEED_OF_LIGHT / (2.0 * self.length_m)
+            fsr = (SPEED_OF_LIGHT / 2.0) / self.length_m  # c/2 is exact; 2L overflows past ~9e307 m
         hwhm = self.hwhm_hz
         if hwhm is None:
             if fsr is None or self.t_in is None:

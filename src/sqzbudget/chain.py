@@ -32,7 +32,8 @@ CATEGORIES = (
     "other",
 )
 
-CAVITY_ROLES = ("filter", "src")
+# a cavity's role is also its .scn section name and its [losses] marker
+CAVITY_ROLES = ("filter_cavity", "src")
 
 CHUNK_POINTS = 2048  # grid points propagated (and written as CSV rows) together
 
@@ -49,7 +50,7 @@ class LossElement:
         check_efficiency(self.eta, f"loss element {self.name!r}")
         name = self.name
         if (name.splitlines() != [name] or name != name.strip() or "=" in name
-                or name[0] in "#[" or name in ("filter_cavity", "src")):
+                or name[0] in "#[" or name in CAVITY_ROLES):
             raise ValueError(f"loss element name {name!r} cannot be read back from a scenario")
         if self.category not in CATEGORIES:
             raise ValueError(
@@ -59,7 +60,7 @@ class LossElement:
 
 @dataclass(frozen=True)
 class CavityStage:
-    """A detuned cavity in the chain, tagged by its role."""
+    """A detuned cavity in the chain, tagged by its role, one of CAVITY_ROLES."""
 
     role: str
     params: _cavity.CavityParams
@@ -104,11 +105,16 @@ class Scenario:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not math.isfinite(self.homodyne_angle):
             raise ValueError(f"homodyne_angle must be finite, got {self.homodyne_angle!r}")
-        for role in CAVITY_ROLES:
-            if sum(1 for s in self.stages if isinstance(s, CavityStage) and s.role == role) > 1:
-                raise ValueError(f"at most one {role} cavity stage is allowed")
+        # a stage's name is its key in [losses], so each may appear once
+        names = set()
+        for s in self.stages:
+            name = s.role if isinstance(s, CavityStage) else s.name
+            if name in names:
+                raise ValueError(f"stage {name!r} appears twice in the chain")
+            names.add(name)
 
     def cavity_stage(self, role):
+        """The stage of the cavity with this role ("filter_cavity" or "src"), or None."""
         for s in self.stages:
             if isinstance(s, CavityStage) and s.role == role:
                 return s
@@ -145,7 +151,7 @@ def propagate(sc, omega_hz):
             # omega + |detuning| < fsr/4, arranged so that no term overflows
             bound = stage.params.fsr() / 4.0 - abs(stage.params.detuning_hz)
             _require(np.less(omega_hz, bound), omega_hz,
-                     f"{stage.role} cavity: {{!r}} Hz plus |detuning| is past fsr/4")
+                     f"{stage.role}: {{!r}} Hz plus |detuning| is past fsr/4")
     with np.errstate(over="ignore", invalid="ignore"):
         s = generated_spectrum(sc.source, omega_hz)
         for stage in sc.stages:

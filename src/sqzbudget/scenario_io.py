@@ -1,19 +1,24 @@
 """Scenario text files: sectioned key = value format, MHz units.
 
 Sections: [source], [filter_cavity], [src], [losses], [detection], [grid].
-Section order is free.  The parameter classes are the schema: the keys of
-[source], [filter_cavity]/[src] and [grid] are the field names of
-:class:`SourceParams`, :class:`CavityParams` and :class:`FrequencyGrid`, with
-each ``*_hz`` field written as a ``*_mhz`` key (frequencies are MHz in files
-and Hz in memory).  Unknown keys are rejected with the offending line number,
-and a field without a default must be given.  :func:`format_scenario` writes
-back what was given: each field that differs from its default.
+Section order is free.  One table of schemas, built from the parameter
+classes, reads and writes every section but [losses]: the keys of [source],
+[filter_cavity]/[src] and [grid] are the field names of
+:class:`SourceParams`, :class:`CavityParams` and :class:`FrequencyGrid`, and
+the one key of [detection] is the ``homodyne_angle`` field of
+:class:`Scenario`.  Each ``*_hz`` field is written as a ``*_mhz`` key
+(frequencies are MHz in files and Hz in memory).  Unknown keys are rejected
+with the offending line number, and a field without a default must be given.
+A key given twice in any section, [losses] included, is rejected at its
+second line.  :func:`format_scenario` writes back what was given: each field
+that differs from its default.
 
 The [losses] section is ordered and defines the chain: plain elements are
-``name = eta @ category`` lines, and the two cavity sections are placed in
-the chain by marker lines ``filter_cavity = @cavity`` and ``src = @cavity``.
-A cavity section without its marker (or vice versa) is an error, since the
-chain position of a cavity changes the result.
+``name = eta @ category`` lines, and each cavity section is placed in the
+chain by a marker line with its name, ``filter_cavity = @cavity`` or
+``src = @cavity``; the section name is the cavity's role in
+:class:`CavityStage`.  A cavity section without its marker (or vice versa)
+is an error, since the chain position of a cavity changes the result.
 
 Example::
 
@@ -45,15 +50,10 @@ import math
 import pathlib
 
 from .cavity import CavityParams
-from .chain import CATEGORIES, CavityStage, FrequencyGrid, LossElement, Scenario
+from .chain import CATEGORIES, CAVITY_ROLES, CavityStage, FrequencyGrid, LossElement, Scenario
 from .source import SourceParams
 
-SECTIONS = ("source", "filter_cavity", "src", "losses", "detection", "grid")
-
-_DETECTION_KEYS = ("homodyne_angle",)
-
 _MARKER = "@cavity"
-_CAVITY_SECTIONS = {"filter_cavity": "filter", "src": "src"}
 
 
 class ScenarioParseError(ValueError):
@@ -95,100 +95,88 @@ def _key(name):
     return name[:-3] + "_mhz" if name.endswith("_hz") else name
 
 
-def _schema(cls):
-    """File key -> (field name, value parser, required) for each field of cls."""
+def _schema(cls, names=None):
+    """File key -> (field name, value parser, default) for the fields of cls, or those named."""
     parsers = {str: _parse_text, int: _parse_int}
     return {
         _key(f.name): (
             f.name,
             _parse_mhz if f.name.endswith("_hz") else parsers.get(f.type, _parse_float),
-            f.default is dataclasses.MISSING,
+            f.default,
         )
         for f in dataclasses.fields(cls)
+        if names is None or f.name in names
     }
 
 
-_SCHEMAS = {cls: _schema(cls) for cls in (SourceParams, CavityParams, FrequencyGrid)}
+# every section but [losses], whose keys are the names of the chain's stages
+_SCHEMAS = {
+    "source": _schema(SourceParams),
+    **dict.fromkeys(CAVITY_ROLES, _schema(CavityParams)),
+    "detection": _schema(Scenario, ("homodyne_angle",)),
+    "grid": _schema(FrequencyGrid),
+}
 
 
 def _split_sections(text):
-    """Raw pass: comments stripped, keys grouped by section, order kept."""
-    sections = {}       # name -> {key: (value, line)}
-    loss_lines = []     # (name, rhs, line), in file order
-    section_lines = {}  # name -> header line
-    current = None
+    """Raw pass: section -> (header line, {key: (value, line)}), comments stripped, order kept."""
+    sections = {}
+    table = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in SECTIONS:
+            if current not in _SCHEMAS and current != "losses":
                 raise ScenarioParseError(f"unknown section [{current}]", lineno)
-            if current in sections or (current == "losses" and current in section_lines):
+            if current in sections:
                 raise ScenarioParseError(f"duplicate section [{current}]", lineno)
-            section_lines[current] = lineno
-            if current != "losses":
-                sections[current] = {}
+            table = {}
+            sections[current] = (lineno, table)
             continue
-        if current is None:
+        if table is None:
             raise ScenarioParseError("content before the first section header", lineno)
-        if "=" not in line:
-            raise ScenarioParseError(f"expected 'key = value', got {line!r}", lineno)
-        key, _, value = line.partition("=")
+        key, equals, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not key or not value:
+        if not (equals and key and value):
             raise ScenarioParseError(f"expected 'key = value', got {line!r}", lineno)
-        if current == "losses":
-            loss_lines.append((key, value, lineno))
-        else:
-            if key in sections[current]:
-                raise ScenarioParseError(f"duplicate key {key!r} in [{current}]", lineno)
-            sections[current][key] = (value, lineno)
-    return sections, loss_lines, section_lines
+        if key in table:
+            raise ScenarioParseError(f"duplicate key {key!r} in [{current}]", lineno)
+        table[key] = (value, lineno)
+    return sections
 
 
-def _check_keys(section, table, allowed):
+def _read_section(section, sections):
+    """Keyword arguments of the fields given in a section, by its schema; {} if it is absent."""
+    schema = _SCHEMAS[section]
+    header, table = sections.get(section, (None, {}))
     for key, (_, lineno) in table.items():
-        if key not in allowed:
+        if key not in schema:
             raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
+    for key, (_, _, default) in schema.items():
+        if default is dataclasses.MISSING and key not in table:
+            raise ScenarioParseError(f"[{section}] needs {key}", header)
+    return {name: parse(*table[key]) for key, (name, parse, _) in schema.items() if key in table}
 
 
-def _read_section(cls, section, sections, section_lines):
-    """Build a params object from a section whose keys are the field names of cls."""
-    schema = _SCHEMAS[cls]
-    table = sections[section]
-    _check_keys(section, table, schema)
-    for key, (_, _, required) in schema.items():
-        if required and key not in table:
-            raise ScenarioParseError(f"[{section}] needs {key}", section_lines[section])
-    return cls(**{name: parse(*table[key])
-                  for key, (name, parse, _) in schema.items() if key in table})
-
-
-def _build_losses(loss_lines, cavities, section_lines):
+def _build_losses(sections, cavities):
+    """The chain in [losses] order: loss elements, and each cavity at its marker."""
+    _, table = sections.get("losses", (None, {}))
     stages = []
-    seen_names = set()
-    placed = set()
-    for name, rhs, lineno in loss_lines:
+    for name, (rhs, lineno) in table.items():
         if rhs == _MARKER:
-            if name not in _CAVITY_SECTIONS:
+            if name not in CAVITY_ROLES:
                 raise ScenarioParseError(
-                    f"{_MARKER} markers are only valid for filter_cavity and src, "
+                    f"{_MARKER} markers are only valid for {' and '.join(CAVITY_ROLES)}, "
                     f"got {name!r}", lineno)
             if name not in cavities:
                 raise ScenarioParseError(f"marker references missing section [{name}]", lineno)
-            if name in placed:
-                raise ScenarioParseError(f"duplicate {_MARKER} marker for {name!r}", lineno)
-            placed.add(name)
-            stages.append(CavityStage(role=_CAVITY_SECTIONS[name], params=cavities[name]))
+            stages.append(CavityStage(role=name, params=cavities[name]))
             continue
-        if name in _CAVITY_SECTIONS:
+        if name in CAVITY_ROLES:
             raise ScenarioParseError(
                 f"{name!r} is reserved for a cavity marker ({name} = {_MARKER})", lineno)
-        if name in seen_names:
-            raise ScenarioParseError(f"duplicate loss element {name!r}", lineno)
-        seen_names.add(name)
         value, _, category = rhs.partition("@")
         eta = _parse_float(value.strip(), lineno)
         category = category.strip() or "other"
@@ -198,10 +186,10 @@ def _build_losses(loss_lines, cavities, section_lines):
                 lineno)
         stages.append(LossElement(name=name, eta=eta, category=category))
     for name in cavities:
-        if name not in placed:
+        if name not in table:
             raise ScenarioParseError(
                 f"section [{name}] is never placed in [losses] (add '{name} = {_MARKER}')",
-                section_lines[name])
+                sections[name][0])
     return stages
 
 
@@ -212,28 +200,17 @@ def parse_scenario(text, name="scenario"):
     domain types) for well-formed but physically invalid values.  A leading
     UTF-8 byte-order mark is ignored.
     """
-    sections, loss_lines, section_lines = _split_sections(text.removeprefix("\ufeff"))
+    sections = _split_sections(text.removeprefix("\ufeff"))
     if "source" not in sections:
         raise ScenarioParseError("missing required section [source]")
-    source = _read_section(SourceParams, "source", sections, section_lines)
-    cavities = {
-        section: _read_section(CavityParams, section, sections, section_lines)
-        for section in _CAVITY_SECTIONS if section in sections
-    }
-    stages = _build_losses(loss_lines, cavities, section_lines)
-
-    homodyne_angle = 0.0
-    if "detection" in sections:
-        _check_keys("detection", sections["detection"], _DETECTION_KEYS)
-        if "homodyne_angle" in sections["detection"]:
-            value, lineno = sections["detection"]["homodyne_angle"]
-            homodyne_angle = _parse_float(value, lineno)
-
-    kwargs = {"name": name, "source": source, "stages": tuple(stages),
-              "homodyne_angle": homodyne_angle}
+    source = SourceParams(**_read_section("source", sections))
+    cavities = {role: CavityParams(**_read_section(role, sections))
+                for role in CAVITY_ROLES if role in sections}
+    stages = _build_losses(sections, cavities)
+    kwargs = _read_section("detection", sections)
     if "grid" in sections:
-        kwargs["grid"] = _read_section(FrequencyGrid, "grid", sections, section_lines)
-    return Scenario(**kwargs)
+        kwargs["grid"] = FrequencyGrid(**_read_section("grid", sections))
+    return Scenario(name=name, source=source, stages=tuple(stages), **kwargs)
 
 
 def load_scenario(path):
@@ -249,34 +226,25 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _section(section, params):
-    """Lines of a section holding each field of params that differs from its default."""
+def _section(section, obj):
+    """Lines of a section holding each of its fields in obj that differs from its default."""
     lines = [f"[{section}]"]
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        if value != f.default:
-            if f.name.endswith("_hz"):
+    for key, (name, _, default) in _SCHEMAS[section].items():
+        value = getattr(obj, name)
+        if value != default:
+            if name.endswith("_hz"):
                 value = value / 1e6
-            lines.append(f"{_key(f.name)} = {_fmt(value)}")
+            lines.append(f"{key} = {_fmt(value)}")
     return lines + [""]
 
 
 def format_scenario(sc):
     """Canonical text form of what was given; parsing it back yields an identical scenario."""
-    out = _section("source", sc.source)
-    for section, role in _CAVITY_SECTIONS.items():
-        stage = sc.cavity_stage(role)
-        if stage is not None:
-            out += _section(section, stage.params)
-
-    out.append("[losses]")
-    roles_to_section = {role: section for section, role in _CAVITY_SECTIONS.items()}
+    out, losses = _section("source", sc.source), ["[losses]"]
     for stage in sc.stages:
-        if isinstance(stage, LossElement):
-            out.append(f"{stage.name} = {_fmt(stage.eta)} @ {stage.category}")
+        if isinstance(stage, CavityStage):
+            out += _section(stage.role, stage.params)
+            losses.append(f"{stage.role} = {_MARKER}")
         else:
-            out.append(f"{roles_to_section[stage.role]} = {_MARKER}")
-
-    out += ["", "[detection]", f"homodyne_angle = {_fmt(sc.homodyne_angle)}", ""]
-    out += _section("grid", sc.grid)
-    return "\n".join(out)
+            losses.append(f"{stage.name} = {_fmt(stage.eta)} @ {stage.category}")
+    return "\n".join(out + losses + [""] + _section("detection", sc) + _section("grid", sc.grid))

@@ -125,17 +125,17 @@ def test_reflection_is_silent_past_quarter_fsr():
         assert abs(reflection(p, 40.0 * MHZ)) == pytest.approx(1.0, rel=1e-12)
         apply_cavity(SpectralCovariance.vacuum(), p, np.array([5.0, 40.0, 1e6]) * MHZ)
     source = SourceParams(mode="direct", gen_db_at_dc=3.0, bandwidth_hz=20 * MHZ, escape_eta=1.0)
-    sc = Scenario(name="t", source=source, stages=(CavityStage("filter", p),))
+    sc = Scenario(name="t", source=source, stages=(CavityStage("filter_cavity", p),))
     # fsr/4 = c/(8 * 1.21 m) = 30.97 MHz, so omega + 10 MHz must stay below it
     assert np.all(propagate(sc, np.array([5.0, 20.9]) * MHZ).s11 > 0.0)
     with pytest.raises(UnphysicalError,
-                       match=r"^filter cavity: 21000000\.0 Hz plus \|detuning\| is past fsr/4$"):
+                       match=r"^filter_cavity: 21000000\.0 Hz plus \|detuning\| is past fsr/4$"):
         propagate(sc, np.array([5.0, 21.0, 40.0]) * MHZ)
-    with pytest.raises(UnphysicalError, match=r"^filter cavity: 40000000\.0 Hz"):
+    with pytest.raises(UnphysicalError, match=r"^filter_cavity: 40000000\.0 Hz"):
         propagate(sc, 40.0 * MHZ)
     # a cavity given by hwhm alone has no FSR and no bound
     hwhm_only = Scenario(name="t", source=source, stages=(
-        CavityStage("filter", CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=p.hwhm())),))
+        CavityStage("filter_cavity", CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=p.hwhm())),))
     assert np.all(propagate(hwhm_only, np.array([21.0, 40.0, 1e6]) * MHZ).s11 > 0.0)
 
 

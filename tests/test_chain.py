@@ -99,6 +99,9 @@ def test_scenario_rejects_duplicate_roles():
     cav = CavityParams(t_in=0.1, length_m=1.21)
     with pytest.raises(ValueError):
         _bare_scenario(stages=(CavityStage("src", cav), CavityStage("src", cav)))
+    # a loss name is a key of [losses], which format_scenario could not write twice
+    with pytest.raises(ValueError, match="'a' appears twice"):
+        _bare_scenario(stages=(LossElement("a", 0.9), LossElement("a", 0.8)))
     with pytest.raises(ValueError):
         CavityStage("recycling", cav)
     with pytest.raises(ValueError, match="need length_m"):

@@ -233,7 +233,7 @@ def test_band_past_quarter_fsr_exits_3(fmax, capsys):
     assert code == 3
     assert text == ""
     line = _only_error_line(capsys)
-    assert line.startswith("error: filter cavity: ")
+    assert line.startswith("error: filter_cavity: ")
     assert line.endswith(" Hz plus |detuning| is past fsr/4")
     proc = _run_module(argv)
     assert proc.returncode == 3
@@ -291,6 +291,24 @@ def test_degenerate_cavity_rates_exit_3(rates, message, tmp_path, capsys):
         assert code == 3
         assert text == ""
         assert _only_error_line(capsys) == message
+
+
+def test_cavity_past_half_double_range_loads(tmp_path, capsys, golden_dir):
+    # 2L overflows at L = 1.7e308 m but c/(2L) ~ 8.8e-301 Hz does not: the file
+    # loads, and any band lies past fsr/4
+    scn = _tabletop_with(tmp_path, "t_in = 0.1\ndetuning_mhz = -10\nlength_m = 1.21",
+                         "t_in = 0.1\ndetuning_mhz = -10\nlength_m = 1.7e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["budget", scn])
+        assert code == 0
+        golden = (golden_dir / "tabletop_budget.txt").read_text(encoding="utf-8")
+        assert text == golden.replace("loss budget: tabletop", "loss budget: tabletop_variant")
+        code, text = run(["spectrum", scn])
+    assert code == 3
+    assert text == ""
+    assert _only_error_line(capsys) == (
+        "error: filter_cavity: 5000000.0 Hz plus |detuning| is past fsr/4")
 
 
 def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys):

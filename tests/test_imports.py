@@ -1,8 +1,10 @@
-"""Every imported name is used in the file that imports it.
+"""Every imported name is used in the file that imports it, and every
+module-level private name of the package is read by some package module.
 
 No linter is a dependency, so this is a small stdlib ``ast`` scan over the
-package, the tests and the scripts.  ``__init__.py`` is exempt: its imports
-are re-exports, which ``test_api.py`` pins against ``__all__``.
+package, the tests and the scripts.  ``__init__.py`` is exempt from the
+import check: its imports are re-exports, which ``test_api.py`` pins against
+``__all__``.
 """
 
 import ast
@@ -17,6 +19,7 @@ FILES = sorted(
     for path in (ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src/sqzbudget").glob("*.py"))
 
 
 def unused_imports(tree):
@@ -39,3 +42,42 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def private_definitions(tree):
+    """(line, name) of each module-level ``_x = ...``, ``def _x`` or ``class _x``."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in defined
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(tree):
+    """Every name the module loads, bare or as an attribute (``module._x``)."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def dead_private_names(trees):
+    """(module, line, name) of each private definition that no module reads."""
+    read = set().union(*map(names_read, trees.values()))
+    return [(module, line, name) for module, tree in trees.items()
+            for line, name in private_definitions(tree) if name not in read]
+
+
+def test_scan_finds_a_dead_private_name():
+    trees = {"a": ast.parse("_A = 1\n_B: int = 2\ndef _f():\n    return _B\n__all__ = []\n"),
+             "b": ast.parse("import a\nclass _C:\n    pass\na._f()\n")}
+    assert dead_private_names(trees) == [("a", 1, "_A"), ("b", 2, "_C")]
+
+
+def test_no_dead_private_names():
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE}
+    assert dead_private_names(trees) == []

@@ -140,7 +140,7 @@ def test_matched_filter_cancels_rotation_of_lossless_src(tabletop):
     cavityless = dataclasses.replace(tabletop, stages=tuple(
         s for s in tabletop.stages if isinstance(s, LossElement)))
     matched = _lossless_variant(tabletop)
-    fc = matched.cavity_stage("filter").params
+    fc = matched.cavity_stage("filter_cavity").params
     src = matched.cavity_stage("src").params
     assert fc.hwhm() == pytest.approx(src.hwhm(), rel=1e-12)
     assert fc.detuning_hz == -src.detuning_hz
@@ -154,7 +154,7 @@ def test_matched_filter_cancels_rotation_of_lossless_src(tabletop):
 def test_filter_cavity_earns_its_keep(tabletop):
     without_fc = dataclasses.replace(tabletop, stages=tuple(
         s for s in tabletop.stages
-        if not (isinstance(s, CavityStage) and s.role == "filter")))
+        if not (isinstance(s, CavityStage) and s.role == "filter_cavity")))
     freqs = tabletop.grid.frequencies()
     with_db = [variance_to_db(homodyne_readout(propagate(tabletop, f), 0.0)) for f in freqs]
     without_db = [variance_to_db(homodyne_readout(propagate(without_fc, f), 0.0))
@@ -197,7 +197,7 @@ def test_spectrum_refuses_past_quarter_fsr(tabletop):
     # both 1.21 m cavities sit 10 MHz from the carrier and fsr/4 is ~31 MHz, so
     # the band must end below ~21 MHz; the filter cavity comes first in the chain
     wide = dataclasses.replace(tabletop, grid=FrequencyGrid(5 * MHZ, 25 * MHZ, 41))
-    with pytest.raises(UnphysicalError, match=r"^filter cavity: 21000000\.0 Hz .* fsr/4$"):
+    with pytest.raises(UnphysicalError, match=r"^filter_cavity: 21000000\.0 Hz .* fsr/4$"):
         snr_spectrum(wide, wide.grid.frequencies())
 
 
@@ -207,7 +207,7 @@ def test_spectrum_far_above_every_linewidth():
     # 0 dB; the recycling cavity's signal gain underflows to zero and is refused.
     source = SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=20 * MHZ,
                           t_out=0.1, loss_rt=0.01)
-    fc = CavityStage("filter", CavityParams(detuning_hz=-10 * MHZ, hwhm_hz=1 * MHZ))
+    fc = CavityStage("filter_cavity", CavityParams(detuning_hz=-10 * MHZ, hwhm_hz=1 * MHZ))
     src = CavityStage("src", CavityParams(detuning_hz=10 * MHZ, hwhm_hz=1 * MHZ))
     freqs = np.array([5 * MHZ, 1e100, 1e300])
     with warnings.catch_warnings():

@@ -5,7 +5,8 @@ exit prints exactly one ``error:`` line on stderr (an argparse usage error
 may instead raise ``SystemExit(2)``), nothing leaks a warning, and exit 0
 prints only finite numbers.  The inputs are the tabletop scenario and a
 physical-mode chain whose cavities are given by hwhm alone (no FSR, so no
-fsr/4 bound), with one or two numeric values replaced by any float.
+fsr/4 bound), with one or two numeric values replaced by any float, or with
+one to three whole lines dropped, duplicated, swapped or truncated.
 """
 
 import contextlib
@@ -89,15 +90,27 @@ def cases(draw):
     return text, command, options
 
 
-@pytest.fixture(scope="module")
-def scenario_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "fuzz.scn"
+@st.composite
+def line_edits(draw):
+    """A bundled text with one to three whole lines dropped, duplicated, swapped or truncated."""
+    lines = draw(st.sampled_from(TEXTS)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(j, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))] + "\n"
+    return "".join(lines), draw(st.sampled_from(["budget", "spectrum"])), []
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(cases())
-def test_any_input_exits_cleanly(scenario_path, case):
-    text, command, options = case
+def check_contract(scenario_path, text, command, options):
+    """Run one command on text as a file and check the robustness contract."""
     scenario_path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
@@ -118,3 +131,20 @@ def test_any_input_exits_cleanly(scenario_path, case):
             assert all(math.isfinite(float(x)) for x in row.split(",")), row
     else:
         assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.scn"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(cases())
+def test_any_input_exits_cleanly(scenario_path, case):
+    check_contract(scenario_path, *case)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(line_edits())
+def test_any_line_edit_exits_cleanly(scenario_path, case):
+    check_contract(scenario_path, *case)

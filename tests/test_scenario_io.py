@@ -34,13 +34,13 @@ def test_parse_bundled_tabletop(tabletop):
     assert tabletop.source.bandwidth_hz == 20 * MHZ
     assert tabletop.source.escape_eta == 0.9
     assert len(tabletop.stages) == 8
-    kinds = ["loss", "loss", "filter", "loss", "loss", "src", "loss", "loss"]
+    kinds = ["loss", "loss", "filter_cavity", "loss", "loss", "src", "loss", "loss"]
     for stage, kind in zip(tabletop.stages, kinds):
         if kind == "loss":
             assert isinstance(stage, LossElement)
         else:
             assert isinstance(stage, CavityStage) and stage.role == kind
-    fc = tabletop.cavity_stage("filter").params
+    fc = tabletop.cavity_stage("filter_cavity").params
     src = tabletop.cavity_stage("src").params
     assert fc.detuning_hz == -10 * MHZ
     assert src.detuning_hz == 10 * MHZ
@@ -134,7 +134,7 @@ def scenarios(draw):
         used.add(name)
         stages.append(LossElement(name, draw(etas_2dp),
                                   draw(st.sampled_from(("mode_matching", "other")))))
-    for role in ("filter", "src"):
+    for role in ("filter_cavity", "src"):
         if draw(st.booleans()):
             at = draw(st.integers(min_value=0, max_value=len(stages)))
             stages.insert(at, CavityStage(role, draw(cavities())))
