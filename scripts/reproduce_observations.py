@@ -49,13 +49,10 @@ def main():
     # the reflection alone, without the OPA roll-off masking it, shows the
     # intra-cavity loss biting hardest on resonance
     src_stage = tabletop.cavity_stage("src")
-    state = SpectralCovariance.diagonal(0.1, 10.0)
-    depth = [
-        variance_to_db(min(np.linalg.eigvalsh(
-            apply_cavity(state, src_stage.params, f).matrix()
-        ).real))
-        for f in ns.frequency_hz
-    ]
+    out = apply_cavity(SpectralCovariance(0.1, 10.0), src_stage.params, ns.frequency_hz)
+    # the smaller eigenvalue of the covariance is its squeezed variance
+    squeezed = 0.5 * (out.s11 + out.s22) - np.hypot(0.5 * (out.s11 - out.s22), abs(out.s12))
+    depth = variance_to_db(squeezed)
     dip = int(np.argmin(depth))
     print(f"reflection off the lossy recycling cavity degrades a 10 dB input most "
           f"at {ns.frequency_hz[dip] / 1e6:.2f} MHz ({depth[dip]:.2f} dB left)")

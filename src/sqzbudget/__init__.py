@@ -11,7 +11,6 @@ from .cavity import (
     apply_cavity,
     finesse,
     reflection,
-    rotation_angle,
 )
 from .chain import (
     BudgetReport,
@@ -74,7 +73,6 @@ __all__ = [
     "propagate",
     "pump_parameter",
     "reflection",
-    "rotation_angle",
     "signal_gain",
     "snr_spectrum",
     "total_efficiency",

@@ -33,11 +33,11 @@ With dd = |d|^2, oo = |o|^2, c = d*conj(o) and fill = 1 - (dd + oo) that is
     s12' = dd*s12 - oo*conj(s12) - c*s11 + conj(c)*s22 + (c - conj(c))
 
 The fill is added last, so vacuum (s11 = s22 = 1, s12 = 0) comes back as
-vacuum bit for bit.  Every function takes omega as a scalar or a 1-D array
-and works element-wise.
+vacuum bit for bit.  The rotation is read off the output, lossy or not, as
+the angle of its squeezing ellipse, (1/2) atan2(2 Re s12', s11' - s22').
+Every function takes omega as a scalar or a 1-D array and works element-wise.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -151,18 +151,3 @@ def apply_cavity(s, p, omega_hz):
         oo * s.s11 + dd * s.s22 - 2.0 * (cc * s.s12).real + fill,
         dd * s.s12 - oo * np.conj(s.s12) - c * s.s11 + cc * s.s22 + (c - cc),
     )
-
-
-def rotation_angle(p, omega_hz):
-    """Squeezing-ellipse rotation of a lossless cavity at sideband omega_hz.
-
-    alpha(omega) = (arg r(+omega) + arg r(-omega)) / 2.  Each principal arg of
-    the single-resonance Lorentzian stays inside (-pi, pi), so the sum is
-    already continuous in omega.  Refused for a lossy cavity, where the
-    transfer is not a pure rotation and an angle alone under-describes it.
-    """
-    if omega_hz <= 0.0:
-        raise ValueError(f"sideband frequency must be positive, got {omega_hz!r}")
-    if p.loss_rt != 0.0:
-        raise ValueError("rotation_angle is only defined for a lossless cavity")
-    return 0.5 * (cmath.phase(reflection(p, omega_hz)) + cmath.phase(reflection(p, -omega_hz)))

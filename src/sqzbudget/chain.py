@@ -88,7 +88,15 @@ class FrequencyGrid:
             raise ValueError("need at least 2 grid points")
 
     def frequencies(self):
-        return np.linspace(self.fmin_hz, self.fmax_hz, self.points)
+        """The grid as an array, refused if rounding repeats a value.
+
+        Checked here, not when built: a grid is built for every command, and
+        only the ones that read it should pay for the array.
+        """
+        f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
+        if not (f[1:] > f[:-1]).all():
+            raise ValueError("frequency grid must be strictly increasing")
+        return f
 
 
 @dataclass(frozen=True)

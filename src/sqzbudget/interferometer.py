@@ -43,21 +43,18 @@ class NoiseSpectrum:
     frequency_hz: np.ndarray
     noise_db: np.ndarray
     signal_db: np.ndarray
-    snr_improvement_db: np.ndarray
 
-    def __post_init__(self):
-        for a in (self.frequency_hz, self.noise_db, self.signal_db, self.snr_improvement_db):
-            if np.asarray(a).shape != np.asarray(self.frequency_hz).shape:
-                raise ValueError("spectrum columns must have matching lengths")
-        if len(self.frequency_hz) > 1 and not np.all(np.diff(self.frequency_hz) > 0):
-            raise ValueError("frequency grid must be strictly increasing")
+    @property
+    def snr_improvement_db(self):
+        """Squeezed vacuum carries no signal, so the SNR gain is noise_db itself."""
+        return self.noise_db
 
 
 def snr_spectrum(sc, frequencies):
     """Noise, signal, and SNR-improvement spectra of any chain.
 
-    frequencies is any finite, positive scalar or 1-D array in Hz, strictly
-    increasing; it need not lie on the scenario's display grid.  Noise is
+    frequencies is any finite, positive scalar or 1-D array in Hz, in any
+    order; it need not lie on the scenario's display grid.  Noise is
     referenced to shot noise, the vacuum fixed point of the chain (see
     :func:`sqzbudget.chain.noise_db`).  The signal is the recycling cavity's
     response, or flat 0 dB for a chain without one.  The signal path is
@@ -74,9 +71,4 @@ def snr_spectrum(sc, frequencies):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             signal = 10.0 * np.log10(signal_gain(stage.params, freqs))
         _require(np.isfinite(signal), freqs, "src cavity signal gain underflows at {!r} Hz")
-    return NoiseSpectrum(
-        frequency_hz=freqs,
-        noise_db=noise,
-        signal_db=signal,
-        snr_improvement_db=noise.copy(),
-    )
+    return NoiseSpectrum(frequency_hz=freqs, noise_db=noise, signal_db=signal)

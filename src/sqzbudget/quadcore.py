@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VACUUM_VARIANCE = 1.0
+_PSD_TOL = 1e-9  # is_positive_semidefinite's tolerance, relative to max(1, s11, s22)
 
 
 class UnphysicalError(ValueError):
@@ -77,10 +77,11 @@ class SpectralCovariance:
     ``s11`` and ``s22`` are the amplitude and phase quadrature variances,
     ``s12`` the (complex) cross term; the 21 element is its conjugate.  Each
     is a scalar or a 1-D array over frequency, and they broadcast together;
-    every method but :meth:`matrix` works element-wise.  Vacuum is the
-    identity.  Pure squeezed vacuum has det = 1 and passive loss can only
-    increase the determinant.  Values are checked when built through this
-    constructor; stage folds skip it (see the module docstring).
+    every method works element-wise.  Vacuum is the identity,
+    ``SpectralCovariance(1.0, 1.0)``.  Pure squeezed vacuum has det = 1 and
+    passive loss can only increase the determinant.  Values are checked when
+    built through this constructor; stage folds skip it (see the module
+    docstring).
     """
 
     s11: float
@@ -93,39 +94,14 @@ class SpectralCovariance:
                      f"{label} must be finite and >= 0, got {{!r}}")
         _require(np.isfinite(self.s12), self.s12, "s12 must be finite, got {!r}")
 
-    @classmethod
-    def vacuum(cls):
-        return cls(VACUUM_VARIANCE, VACUUM_VARIANCE, 0j)
-
-    @classmethod
-    def diagonal(cls, s11, s22):
-        return cls(s11, s22, 0j)
-
-    @classmethod
-    def from_matrix(cls, m, tol=1e-9):
-        """Build from a 2x2 array, rejecting non-Hermitian input beyond tol."""
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if (abs(m[0, 1] - np.conj(m[1, 0])) > tol * scale
-                or abs(m[0, 0].imag) > tol * scale
-                or abs(m[1, 1].imag) > tol * scale):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        return cls(m[0, 0].real, m[1, 1].real, complex(0.5 * (m[0, 1] + np.conj(m[1, 0]))))
-
-    def matrix(self):
-        """The covariance at one frequency as a 2x2 complex ndarray."""
-        return np.array([[self.s11, self.s12], [np.conj(self.s12), self.s22]], dtype=complex)
-
     def det(self):
         return self.s11 * self.s22 - abs(self.s12) ** 2
 
-    def is_positive_semidefinite(self, tol=1e-9):
-        """True where S / max(1, s11, s22), free of overflow, is PSD within tol (element-wise)."""
+    def is_positive_semidefinite(self):
+        """True where S / max(1, s11, s22), free of overflow, is PSD within 1e-9 (element-wise)."""
         scale = np.maximum(1.0, np.maximum(self.s11, self.s22))
         a, b, c = self.s11 / scale, self.s22 / scale, abs(self.s12) / scale
-        return (a >= -tol) & (b >= -tol) & (a * b - c * c >= -tol)
+        return (a >= -_PSD_TOL) & (b >= -_PSD_TOL) & (a * b - c * c >= -_PSD_TOL)
 
 
 def _unchecked(s11, s22, s12):

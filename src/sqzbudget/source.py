@@ -123,4 +123,4 @@ def generated_spectrum(p, omega_hz):
         _require(np.greater(vm_pre, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
         vm = apply_loss(vm_pre, eta)
         vp = apply_loss(1.0 / vm_pre, eta)
-    return SpectralCovariance.diagonal(vm, vp)
+    return SpectralCovariance(vm, vp)

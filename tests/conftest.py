@@ -1,8 +1,11 @@
 import importlib.resources
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
+from sqzbudget.quadcore import SpectralCovariance
 from sqzbudget.scenario_io import parse_scenario
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -15,6 +18,24 @@ def bundled_scenario_path(name):
 def load_bundled(name):
     path = importlib.resources.files("sqzbudget") / "scenarios" / f"{name}.scn"
     return parse_scenario(path.read_text(encoding="utf-8"), name=name)
+
+
+def matrix(s):
+    """The covariance s at one frequency as a 2x2 complex ndarray."""
+    return np.array([[s.s11, s.s12], [np.conj(s.s12), s.s22]], dtype=complex)
+
+
+def squeezed_state(db, theta):
+    """Pure state R diag(v, 1/v) R^T, v = 10^(-db/10), squeezed along angle theta."""
+    v = 10.0 ** (-db / 10.0)
+    c, s = math.cos(theta), math.sin(theta)
+    return SpectralCovariance(c * c * v + s * s / v, s * s * v + c * c / v,
+                              complex(c * s * (v - 1.0 / v)))
+
+
+def ellipse_angle(s):
+    """Angle of the major axis of the squeezing ellipse of s, in [-pi/2, pi/2]."""
+    return 0.5 * math.atan2(2.0 * s.s12.real, s.s11 - s.s22)
 
 
 @pytest.fixture(scope="session")

@@ -8,10 +8,11 @@ failing build green defeats the point of the gate.
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 
-from sqzbudget.cavity import CavityParams, apply_cavity, rotation_angle
+from sqzbudget.cavity import CavityParams, apply_cavity
 from sqzbudget.chain import (
     FrequencyGrid,
     LossElement,
@@ -24,6 +25,8 @@ from sqzbudget.cli import entry
 from sqzbudget.interferometer import signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, apply_loss, db_to_variance, variance_to_db
 from sqzbudget.source import SourceParams, escape_efficiency
+
+from conftest import ellipse_angle
 
 MHZ = 1e6
 
@@ -94,12 +97,16 @@ def test_criterion_6_property_suite(tabletop):
                         rng.uniform(0.01 * MHZ, 60 * MHZ, size=1000))
     assert np.allclose((fill.s11, fill.s22, fill.s12), 0.0, atol=1e-10)
 
-    # opposite detunings cancel the rotation
+    # opposite detunings cancel the rotation: the ellipse of diag(10, 0.1),
+    # major axis at 0, turns by equal and opposite angles (mod pi)
+    state = SpectralCovariance(10.0, 0.1)
     for _ in range(200):
         d, h, f = rng.uniform(0.1, 30), rng.uniform(0.05, 5), rng.uniform(0.01, 50)
         plus = CavityParams(detuning_hz=d * MHZ, hwhm_hz=h * MHZ)
         minus = CavityParams(detuning_hz=-d * MHZ, hwhm_hz=h * MHZ)
-        assert abs(rotation_angle(plus, f * MHZ) + rotation_angle(minus, f * MHZ)) < 1e-9
+        total = (ellipse_angle(apply_cavity(state, plus, f * MHZ))
+                 + ellipse_angle(apply_cavity(state, minus, f * MHZ)))
+        assert abs(math.remainder(total, math.pi)) < 1e-9
 
     # random chains keep states physical (det >= 1 and positive)
     for _ in range(50):
@@ -111,7 +118,7 @@ def test_criterion_6_property_suite(tabletop):
                       grid=FrequencyGrid(1 * MHZ, 30 * MHZ, 4))
         for f in sc.grid.frequencies():
             s = propagate(sc, f)
-            assert s.is_positive_semidefinite(tol=1e-9)
+            assert s.is_positive_semidefinite()
             assert s.det() >= 1.0 - 1e-9
 
     # vacuum is a fixed point of the full golden chain

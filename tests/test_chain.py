@@ -28,6 +28,8 @@ from sqzbudget.quadcore import (
 )
 from sqzbudget.source import SourceParams
 
+from conftest import matrix
+
 MHZ = 1e6
 
 TABLETOP_ETAS = [0.90, 0.94, 0.95, 0.97, 0.95, 0.95, 0.93]
@@ -55,8 +57,8 @@ def test_total_efficiency_products():
 
 
 def test_homodyne_readout():
-    assert homodyne_readout(SpectralCovariance.vacuum(), 0.7) == pytest.approx(1.0)
-    s = SpectralCovariance.diagonal(0.253, 8.47)
+    assert homodyne_readout(SpectralCovariance(1.0, 1.0), 0.7) == pytest.approx(1.0)
+    s = SpectralCovariance(0.253, 8.47)
     assert homodyne_readout(s, 0.0) == 0.253
     assert homodyne_readout(s, math.pi / 2) == pytest.approx(8.47, rel=1e-12)
     # complex cross term: only the real part reaches a single quadrature
@@ -64,7 +66,7 @@ def test_homodyne_readout():
     theta = 0.5
     v = np.array([math.cos(theta), math.sin(theta)])
     assert homodyne_readout(sx, theta) == pytest.approx(
-        float((v @ sx.matrix() @ v).real), rel=1e-13)
+        float((v @ matrix(sx) @ v).real), rel=1e-13)
 
 
 def test_grid_validation():
@@ -85,6 +87,13 @@ def test_grid_validation():
     g = FrequencyGrid(5 * MHZ, 15 * MHZ, 201)
     f = g.frequencies()
     assert len(f) == 201 and f[0] == 5 * MHZ and f[-1] == 15 * MHZ
+    # a range one ulp wide builds, but a 50-point linspace on it repeats
+    # values, which frequencies() refuses; building alone allocates nothing
+    one_ulp = math.nextafter(5 * MHZ, math.inf)
+    with pytest.raises(ValueError, match="^frequency grid must be strictly increasing$"):
+        FrequencyGrid(5 * MHZ, one_ulp, 50).frequencies()
+    assert len(FrequencyGrid(5 * MHZ, one_ulp, 2).frequencies()) == 2
+    FrequencyGrid(5 * MHZ, 15 * MHZ, 10 ** 9)
 
 
 def _bare_scenario(stages=(), source=None):
@@ -195,7 +204,7 @@ def test_propagate_tabletop_frozen_values(tabletop):
 def test_propagate_stays_physical_across_grid(tabletop):
     for f in tabletop.grid.frequencies():
         s = propagate(tabletop, f)
-        assert s.is_positive_semidefinite(tol=1e-9)
+        assert s.is_positive_semidefinite()
         assert s.det() >= 1.0 - 1e-9
 
 

@@ -345,6 +345,19 @@ def test_bad_spectrum_range_exits_2(capsys):
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_repeated_grid_exits_2_before_propagating(monkeypatch, capsys):
+    # 5 and 5.000000000000001 MHz are one ulp apart in Hz, so the 50-point
+    # linspace repeats values; the grid refuses itself before any propagation
+    def refuse(*args):
+        raise AssertionError("propagate ran on a refused grid")
+
+    monkeypatch.setattr(chain, "propagate", refuse)
+    code, text = run(["spectrum", bundled_scenario_path("tabletop"), "--fmin-mhz", "5",
+                      "--fmax-mhz", "5.000000000000001", "--points", "50"])
+    assert (code, text) == (2, "")
+    assert _only_error_line(capsys) == "error: frequency grid must be strictly increasing"
+
+
 @pytest.mark.parametrize("flag,value", [("--fmax-mhz", "inf"), ("--fmin-mhz", "nan")])
 def test_non_finite_spectrum_range_exits_2(flag, value, capsys):
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
-"""Every imported name is used in the file that imports it, and every
-module-level private name of the package is read by some package module.
+"""Every imported name is used in the file that imports it, every
+module-level private name of the package is read by some package module, and
+every public name is read by some code that is not a test.
 
 No linter is a dependency, so this is a small stdlib ``ast`` scan over the
 package, the tests and the scripts.  ``__init__.py`` is exempt from the
@@ -11,6 +12,8 @@ import ast
 import pathlib
 
 import pytest
+
+import sqzbudget
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -81,3 +84,28 @@ def test_no_dead_private_names():
     trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
              for path in PACKAGE}
     assert dead_private_names(trees) == []
+
+
+def names_read_outside_own_definition(tree):
+    """Names the module reads, not counting a top-level def or class reading its own name."""
+    read = set()
+    for node in tree.body:
+        names = names_read(node)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(node.name)
+        read |= names
+    return read
+
+
+def test_scan_skips_a_name_read_only_by_its_own_definition():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\nclass C:\n    pass\nC()\n")
+    assert names_read_outside_own_definition(tree) == {"n", "C"}
+
+
+def test_every_public_name_has_a_non_test_reader():
+    # the package (its re-exporting __init__ aside), the scripts and the benchmark
+    paths = [path for folder in ("src/sqzbudget", "scripts", "bench")
+             for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py"]
+    read = set().union(*(names_read_outside_own_definition(ast.parse(
+        path.read_text(encoding="utf-8"))) for path in paths))
+    assert sorted(set(sqzbudget.__all__) - read) == []

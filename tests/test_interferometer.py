@@ -18,11 +18,11 @@ from sqzbudget.chain import (
     noise_db,
     propagate,
 )
-from sqzbudget.interferometer import NoiseSpectrum, signal_gain, snr_spectrum
+from sqzbudget.interferometer import signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, UnphysicalError, variance_to_db
 from sqzbudget.source import SourceParams
 
-from conftest import load_bundled
+from conftest import load_bundled, matrix
 
 MHZ = 1e6
 
@@ -30,10 +30,10 @@ MHZ = 1e6
 def test_lossless_reflection_preserves_squeezing_magnitude():
     cav = CavityParams(t_in=0.1, detuning_hz=10 * MHZ,
                        hwhm_hz=1.039 * MHZ)
-    state = SpectralCovariance.diagonal(0.1, 10.0)
+    state = SpectralCovariance(0.1, 10.0)
     for f_mhz in (5.0, 9.0, 10.0, 11.0, 15.0):
         out = apply_cavity(state, cav, f_mhz * MHZ)
-        eig = np.linalg.eigvalsh(out.matrix()).real
+        eig = np.linalg.eigvalsh(matrix(out)).real
         assert min(eig) == pytest.approx(0.1, rel=1e-10)
         assert max(eig) == pytest.approx(10.0, rel=1e-10)
 
@@ -43,19 +43,19 @@ def test_far_detuned_reflection_is_minus_identity():
     # T = -I hands back any state, rotated or not, unchanged
     state = SpectralCovariance(0.1, 10.0, 0.5 - 0.25j)
     out = apply_cavity(state, cav, 300 * MHZ)
-    assert np.allclose(out.matrix(), state.matrix(), rtol=0.0, atol=1e-3)
-    assert apply_cavity(SpectralCovariance.diagonal(0.1, 10.0), cav, 300 * MHZ).s11 == (
+    assert np.allclose(matrix(out), matrix(state), rtol=0.0, atol=1e-3)
+    assert apply_cavity(SpectralCovariance(0.1, 10.0), cav, 300 * MHZ).s11 == (
         pytest.approx(0.1, rel=1e-4))
 
 
 def test_lossy_reflection_dips_at_detuning(tabletop):
     p = tabletop.cavity_stage("src").params
-    state = SpectralCovariance.diagonal(0.1, 10.0)
+    state = SpectralCovariance(0.1, 10.0)
     freqs = np.linspace(5 * MHZ, 15 * MHZ, 401)
     depth = []
     for f in freqs:
         out = apply_cavity(state, p, f)
-        depth.append(variance_to_db(min(np.linalg.eigvalsh(out.matrix()).real)))
+        depth.append(variance_to_db(min(np.linalg.eigvalsh(matrix(out)).real)))
     worst = freqs[int(np.argmin(depth))]
     assert abs(worst - p.detuning_hz) <= p.hwhm()
     assert min(depth) < depth[0]
@@ -86,12 +86,17 @@ def test_signal_gain_peaks_at_detuning(detuning_mhz):
     assert abs(freqs[int(np.argmax(gains))] - detuning_mhz * MHZ) <= step
 
 
-def test_noise_spectrum_validation():
-    f = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        NoiseSpectrum(f, np.zeros(2), np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        NoiseSpectrum(np.array([2.0, 1.0, 3.0]), np.zeros(3), np.zeros(3), np.zeros(3))
+def test_snr_spectrum_takes_frequencies_in_any_order(tabletop):
+    # like propagate, any finite, positive frequencies: unsorted and repeated too
+    freqs = np.array([14.0, 5.0, 10.0, 5.0]) * MHZ
+    ns = snr_spectrum(tabletop, freqs)
+    assert np.array_equal(ns.frequency_hz, freqs)
+    for i, f in enumerate(freqs):
+        one = snr_spectrum(tabletop, f)
+        assert ns.noise_db[i] == pytest.approx(one.noise_db[0], rel=1e-13)
+        assert ns.signal_db[i] == pytest.approx(one.signal_db[0], rel=1e-13, abs=1e-15)
+    assert ns.noise_db[1] == ns.noise_db[3]
+    assert ns.snr_improvement_db is ns.noise_db
 
 
 def test_snr_spectrum_without_recycling_stage_has_flat_signal(tabletop):

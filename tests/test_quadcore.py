@@ -16,6 +16,8 @@ from sqzbudget.quadcore import (
     variance_to_db,
 )
 
+from conftest import matrix, squeezed_state
+
 etas = st.floats(min_value=0.0, max_value=1.0)
 dbs = st.floats(min_value=-20.0, max_value=20.0)
 variances = st.floats(min_value=1e-3, max_value=1e3)
@@ -79,14 +81,15 @@ def test_loss_pulls_toward_vacuum(v, eta):
 
 
 def test_covariance_basics():
-    vac = SpectralCovariance.vacuum()
+    vac = SpectralCovariance(1.0, 1.0)
     assert vac.s11 == vac.s22 == 1.0 and vac.s12 == 0j
-    s = SpectralCovariance.diagonal(0.1, 10.0)
+    s = SpectralCovariance(0.1, 10.0)
+    assert s == SpectralCovariance(0.1, 10.0, 0j)
     assert s.det() == pytest.approx(1.0)
     assert s.is_positive_semidefinite()
-    m = s.matrix()
-    assert m.shape == (2, 2)
-    assert SpectralCovariance.from_matrix(m) == s
+    sx = SpectralCovariance(1.0, 2.0, 0.3 - 0.4j)
+    assert sx.det() == pytest.approx(np.linalg.det(matrix(sx)).real, rel=1e-14)
+    assert not SpectralCovariance(1.0, 1.0, 1.1).is_positive_semidefinite()
 
 
 def test_covariance_rejects_bad_values():
@@ -98,14 +101,10 @@ def test_covariance_rejects_bad_values():
         SpectralCovariance(1.0, 1.0, complex("nan"))
     with pytest.raises(UnphysicalError, match="s22 .* got inf"):
         SpectralCovariance(np.ones(3), np.array([1.0, float("inf"), -1.0]))
-    with pytest.raises(ValueError):
-        SpectralCovariance.from_matrix([[1.0, 0.5], [0.2, 1.0]])
-    with pytest.raises(ValueError):
-        SpectralCovariance.from_matrix(np.eye(3))
 
 
 def test_apply_loss_cov_matches_scalar_on_diagonal():
-    s = SpectralCovariance.diagonal(0.1, 10.0)
+    s = SpectralCovariance(0.1, 10.0)
     out = apply_loss_cov(s, 0.65)
     assert out.s11 == pytest.approx(apply_loss(0.1, 0.65), rel=1e-14)
     assert out.s22 == pytest.approx(apply_loss(10.0, 0.65), rel=1e-14)
@@ -127,25 +126,18 @@ def test_stage_folds_build_frozen_covariances():
 
 
 def test_vacuum_is_exact_fixed_point():
-    vac = SpectralCovariance.vacuum()
+    vac = SpectralCovariance(1.0, 1.0)
     for eta in (0.0, 0.123, 0.5, 0.93, 1.0):
         assert apply_loss_cov(vac, eta) == vac
-
-
-def _rotated_pure_state(db, theta):
-    v = db_to_variance(db)
-    c, s = math.cos(theta), math.sin(theta)
-    r = np.array([[c, -s], [s, c]])
-    return SpectralCovariance.from_matrix(r @ np.diag([v, 1.0 / v]) @ r.T)
 
 
 @given(st.floats(min_value=0.0, max_value=15.0),
        st.floats(min_value=-math.pi, max_value=math.pi),
        etas)
 def test_loss_keeps_states_physical(db, theta, eta):
-    s = _rotated_pure_state(db, theta)
+    s = squeezed_state(db, theta)
     out = apply_loss_cov(s, eta)
-    assert out.is_positive_semidefinite(tol=1e-9)
+    assert out.is_positive_semidefinite()
     # passive loss cannot purify: det >= 1 is preserved
     assert out.det() >= s.det() - 1e-9
     assert out.det() >= 1.0 - 1e-9
@@ -153,7 +145,7 @@ def test_loss_keeps_states_physical(db, theta, eta):
 
 @given(st.floats(min_value=0.0, max_value=15.0), etas)
 def test_loss_cov_commutes_with_composition(db, eta):
-    s = _rotated_pure_state(db, 0.3)
+    s = squeezed_state(db, 0.3)
     one = apply_loss_cov(apply_loss_cov(s, eta), 0.7)
     two = apply_loss_cov(s, 0.7 * eta)
     assert one.s11 == pytest.approx(two.s11, abs=1e-12)
