@@ -86,6 +86,19 @@ def test_signal_gain_peaks_at_detuning(detuning_mhz):
     assert abs(freqs[int(np.argmax(gains))] - detuning_mhz * MHZ) <= step
 
 
+def test_noise_spectrum_validation(tabletop):
+    # a spectrum's grid refuses repeated values before anything is propagated:
+    # a range one ulp wide builds, but a 50-point linspace on it repeats
+    one_ulp = math.nextafter(5 * MHZ, math.inf)
+    with pytest.raises(ValueError, match="^frequency grid must be strictly increasing$"):
+        FrequencyGrid(5 * MHZ, one_ulp, 50).frequencies()
+    assert len(FrequencyGrid(5 * MHZ, one_ulp, 2).frequencies()) == 2
+    # any order is fine, but not a frequency outside (0, inf)
+    for bad in (0.0, -MHZ, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^omega_hz must be finite and > 0"):
+            snr_spectrum(tabletop, [5 * MHZ, bad])
+
+
 def test_snr_spectrum_takes_frequencies_in_any_order(tabletop):
     # like propagate, any finite, positive frequencies: unsorted and repeated too
     freqs = np.array([14.0, 5.0, 10.0, 5.0]) * MHZ
