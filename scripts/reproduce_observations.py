@@ -52,7 +52,7 @@ def main():
     out = apply_cavity(SpectralCovariance(0.1, 10.0), src_stage.params, ns.frequency_hz)
     # the smaller eigenvalue of the covariance is its squeezed variance
     squeezed = 0.5 * (out.s11 + out.s22) - np.hypot(0.5 * (out.s11 - out.s22), abs(out.s12))
-    depth = variance_to_db(squeezed)
+    depth = -10.0 * np.log10(squeezed)  # variance_to_db takes one variance at a time
     dip = int(np.argmin(depth))
     print(f"reflection off the lossy recycling cavity degrades a 10 dB input most "
           f"at {ns.frequency_hz[dip] / 1e6:.2f} MHz ({depth[dip]:.2f} dB left)")

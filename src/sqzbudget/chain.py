@@ -10,8 +10,6 @@ dependent and must keep their place in the chain.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import cavity as _cavity
 from .quadcore import (
     _require,
@@ -93,6 +91,8 @@ class FrequencyGrid:
         Checked here, not when built: a grid is built for every command, and
         only the ones that read it should pay for the array.
         """
+        import numpy as np
+
         f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
         if not (f[1:] > f[:-1]).all():
             raise ValueError("frequency grid must be strictly increasing")
@@ -152,6 +152,8 @@ def propagate(sc, omega_hz):
     is vacuum).  Out of range or a non-finite result raises UnphysicalError
     naming the first bad frequency; lost positivity is an internal error.
     """
+    import numpy as np
+
     _require(np.isfinite(omega_hz) & np.greater(omega_hz, 0.0), omega_hz,
              "omega_hz must be finite and > 0, got {!r}", ValueError)
     for stage in sc.stages:
@@ -188,12 +190,33 @@ def noise_db(sc, frequencies):
     so no reference run is needed.  The grid is propagated CHUNK_POINTS at a
     time, which keeps the temporaries the same size at any grid length.
     """
+    import numpy as np
+
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     v = np.empty_like(freqs)
     for start in range(0, freqs.size, CHUNK_POINTS):
         part = slice(start, start + CHUNK_POINTS)
         v[part] = homodyne_readout(propagate(sc, freqs[part]), sc.homodyne_angle)
-    return variance_to_db(v)
+    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
+    return -10.0 * np.log10(v)
+
+
+def _linspace(start, stop, n):
+    """``numpy.linspace(start, stop, n).tolist()`` value for value, without numpy.
+
+    The list is allocated first, so a grid too large to hold fails at once.
+    """
+    try:
+        grid = [0.0] * n
+    except (MemoryError, OverflowError):  # OverflowError: n past sys.maxsize
+        raise MemoryError(f"a grid of {n} points is too large to allocate") from None
+    delta = stop - start
+    step = delta / (n - 1)
+    for i in range(n - 1):
+        # linspace's own arithmetic, with its branch for a step that underflows to 0
+        grid[i] = (i * step if step else i / (n - 1) * delta) + start
+    grid[-1] = float(stop)
+    return grid
 
 
 def efficiency_sweep(input_db, eta_min, eta_max, n):
@@ -203,10 +226,7 @@ def efficiency_sweep(input_db, eta_min, eta_max, n):
     if n < 2:
         raise ValueError("need at least 2 sweep points")
     v_in = db_to_variance(input_db)
-    return [
-        (float(eta), variance_to_db(apply_loss(v_in, float(eta))))
-        for eta in np.linspace(eta_min, eta_max, n)
-    ]
+    return [(eta, variance_to_db(apply_loss(v_in, eta))) for eta in _linspace(eta_min, eta_max, n)]
 
 
 @dataclass(frozen=True)

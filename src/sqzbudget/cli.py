@@ -5,27 +5,29 @@ Exit codes: 0 success, 2 parse or usage error (or a grid too large to allocate),
 All frequencies on the command line and in output are MHz; dB values are
 printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)``
 may be called repeatedly in one process; the parser is built once, on first use.
+
+``budget`` and ``sweep`` are scalar arithmetic on floats and never import
+numpy; ``spectrum`` imports :mod:`sqzbudget.interferometer`, and with it
+numpy and the array kernels, only when it runs.
 """
 
 import argparse
 import functools
 import sys
 
-import numpy as np
-
-from . import chain, interferometer
+from . import chain
 from .quadcore import UnphysicalError
 from .scenario_io import load_scenario
 
 
 def _csv_lines(columns):
-    """CSV text with one line per row of the given columns.
+    """CSV text with one line per row of the given columns, sequences of floats.
 
     Numbers are fixed-point with six decimals, rounded half to even like
     ``round``; a value that rounds to zero prints without a minus sign.
     """
     line = ",".join(["%.6f"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    rows = zip(*columns)
     # %.6f always prints six decimals, so "-0.000000" can only be a whole field
     return "".join([line % row for row in rows]).replace("-0.000000", "0.000000")
 
@@ -56,6 +58,8 @@ def cmd_budget(args, out):
 
 
 def cmd_spectrum(args, out):
+    from . import interferometer
+
     sc = load_scenario(args.scenario)
     grid = chain.FrequencyGrid(
         fmin_hz=(args.fmin_mhz * 1e6 if args.fmin_mhz is not None else sc.grid.fmin_hz),
@@ -67,7 +71,7 @@ def cmd_spectrum(args, out):
     out.write("frequency_mhz,noise_db,signal_db,snr_improvement_db\n")
     # chunked like the propagation, so the text built at once does not grow with the grid
     for start in range(0, ns.frequency_hz.size, chain.CHUNK_POINTS):
-        out.write(_csv_lines([c[start:start + chain.CHUNK_POINTS] for c in columns]))
+        out.write(_csv_lines([c[start:start + chain.CHUNK_POINTS].tolist() for c in columns]))
     return 0
 
 
@@ -117,7 +121,8 @@ def entry(argv=None, out=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, MemoryError) as exc:  # ScenarioParseError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        # only a bare MemoryError, raised by a list too large to allocate, has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

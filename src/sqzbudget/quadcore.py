@@ -9,17 +9,19 @@ below shot noise:
 so 10 dB of squeezing means a variance of 0.1, and anti-squeezing comes out
 negative.  A passive loss of power transmission ``eta`` mixes the field with
 vacuum on a beamsplitter and maps variances as ``v -> eta*v + (1 - eta)``.
-Variances and covariances may be arrays over frequency; the algebra is
-element-wise, and a check that fails names the first offending element.
-Covariances are checked by the :class:`SpectralCovariance` constructor, which
-``generated_spectrum`` uses, and by ``chain.propagate``'s exit check; the linear
-stage folds between skip the checks, and a NaN or inf carries through to the exit.
+The scalar helpers (:func:`db_to_variance`, :func:`variance_to_db`,
+:func:`apply_loss`, :func:`check_efficiency`) take one number and use only
+:mod:`math`, so a loss budget or a sweep never imports numpy.  The array
+kernels (:class:`SpectralCovariance`, :func:`apply_loss_cov`) work element-wise
+on arrays over frequency and import numpy where they call it; a check that
+fails names the first offending element.  Covariances are checked by the
+:class:`SpectralCovariance` constructor, which ``generated_spectrum`` uses, and
+by ``chain.propagate``'s exit check; the linear stage folds between skip the
+checks, and a NaN or inf carries through to the exit.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 _PSD_TOL = 1e-9  # is_positive_semidefinite's tolerance, relative to max(1, s11, s22)
 
@@ -54,18 +56,27 @@ def _require(ok, values, message, error=UnphysicalError):
     than np.all on the short arrays and scalars of a spectrum chunk.
     """
     if not ok.all():
+        import numpy as np
+
         raise error(message.format(np.extract(~ok, values)[0].item()))
+
+
+def _variance(v):
+    """A relative variance as float, refused unless finite and positive."""
+    v = float(v)
+    if not (math.isfinite(v) and v > 0.0):
+        raise UnphysicalError(f"relative variance must be positive, got {v!r}")
+    return v
 
 
 def variance_to_db(v):
     """Squeezing depth in dB for a relative variance (exact inverse of db_to_variance)."""
-    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
-    return -10.0 * np.log10(v)
+    return -10.0 * math.log10(_variance(v))
 
 
 def apply_loss(v, eta):
     """Beamsplitter loss on a single-quadrature variance: eta*v + (1 - eta)."""
-    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
+    v = _variance(v)
     eta = check_efficiency(eta)
     return eta * v + (1.0 - eta)
 
@@ -89,6 +100,8 @@ class SpectralCovariance:
     s12: complex = 0j
 
     def __post_init__(self):
+        import numpy as np
+
         for label, value in (("s11", self.s11), ("s22", self.s22)):
             _require(np.isfinite(value) & (value >= 0.0), value,
                      f"{label} must be finite and >= 0, got {{!r}}")
@@ -99,6 +112,8 @@ class SpectralCovariance:
 
     def is_positive_semidefinite(self):
         """True where S / max(1, s11, s22), free of overflow, is PSD within 1e-9 (element-wise)."""
+        import numpy as np
+
         scale = np.maximum(1.0, np.maximum(self.s11, self.s22))
         a, b, c = self.s11 / scale, self.s22 / scale, abs(self.s12) / scale
         return (a >= -_PSD_TOL) & (b >= -_PSD_TOL) & (a * b - c * c >= -_PSD_TOL)

@@ -27,9 +27,7 @@ Both return an amplitude-quadrature-squeezed covariance diag(V-, V+).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .quadcore import SpectralCovariance, UnphysicalError, _require, apply_loss, db_to_variance
+from .quadcore import SpectralCovariance, UnphysicalError, _require, db_to_variance
 
 PUMP_PARAMETER_LIMIT = 0.99  # V_plus diverges as x -> 1
 
@@ -111,6 +109,8 @@ class SourceParams:
 
 def generated_spectrum(p, omega_hz):
     """Covariance at the OPA output (escape applied) at sideband omega_hz (scalar or array)."""
+    import numpy as np
+
     eta = p.escape()
     u2 = np.square(omega_hz / p.bandwidth_hz)  # numpy even for a float: overflow obeys np.errstate
     if p.mode == "physical":
@@ -121,6 +121,8 @@ def generated_spectrum(p, omega_hz):
         v0 = db_to_variance(p.gen_db_at_dc)
         vm_pre = 1.0 - (1.0 - v0) / (1.0 + u2)
         _require(np.greater(vm_pre, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
-        vm = apply_loss(vm_pre, eta)
-        vp = apply_loss(1.0 / vm_pre, eta)
+        # the escape loss, as quadcore.apply_loss computes it, on finite variances:
+        # vm_pre > 0 is one minus a float below 1, so 1/vm_pre <= 2**53
+        vm = eta * vm_pre + (1.0 - eta)
+        vp = eta * (1.0 / vm_pre) + (1.0 - eta)
     return SpectralCovariance(vm, vp)

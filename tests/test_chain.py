@@ -184,6 +184,13 @@ def test_propagate_refuses_a_non_finite_stage(bad, monkeypatch):
     assert calls == [0.9, 0.8]
 
 
+def test_noise_db_names_first_non_positive_variance(monkeypatch):
+    # a readout that is not a positive variance at 7 and 9 MHz stands in for a broken chain
+    monkeypatch.setattr(chain, "homodyne_readout", lambda s, theta: np.array([1.0, -0.3, 0.0]))
+    with pytest.raises(UnphysicalError, match="got -0.3"):
+        chain.noise_db(_bare_scenario(), np.array([1.0, 7.0, 9.0]) * MHZ)
+
+
 def test_propagate_tabletop_frozen_values(tabletop):
     expected = {
         5.0: 0.551159040558112234,

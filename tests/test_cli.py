@@ -326,6 +326,25 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
         assert "Unable to allocate" in _only_error_line(capsys)
 
 
+@pytest.mark.parametrize("points", [10**14, 2**63 - 1, 10**30])
+def test_sweep_too_large_to_allocate_exits_2_at_once(points, capsys):
+    # the grid's list is allocated before any point is computed; 10**14 pointers
+    # are 728 TiB, more than a 48-bit address space holds, and the list itself
+    # refuses the larger sizes, so none of them takes memory
+    code, text = run(["sweep", "--input-db", "10", "--points", str(points)])
+    assert (code, text) == (2, "")
+    assert _only_error_line(capsys) == f"error: a grid of {points} points is too large to allocate"
+
+
+def test_bare_memory_error_prints_a_message(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(chain, "efficiency_sweep", exhausted)
+    assert run(["sweep", "--input-db", "10"]) == (2, "")
+    assert _only_error_line(capsys) == "error: out of memory"
+
+
 def test_bad_spectrum_range_exits_2(capsys):
     code, _ = run(["spectrum", bundled_scenario_path("tabletop"),
                    "--fmin-mhz", "15", "--fmax-mhz", "5"])

@@ -48,10 +48,8 @@ def test_db_rejects_bad_input():
         db_to_variance(float("nan"))
     with pytest.raises(UnphysicalError):
         variance_to_db(0.0)
-    with pytest.raises(UnphysicalError):
-        variance_to_db(-0.3)
     with pytest.raises(UnphysicalError, match="got -0.3"):
-        variance_to_db(np.array([1.0, -0.3, 0.0]))
+        variance_to_db(-0.3)
 
 
 def test_apply_loss_endpoints():
