@@ -121,7 +121,7 @@ def entry(argv=None, out=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, MemoryError) as exc:  # ScenarioParseError is a ValueError
-        # only a bare MemoryError, raised by a list too large to allocate, has no message
+        # a MemoryError that Python itself raises carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
