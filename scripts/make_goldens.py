@@ -3,17 +3,24 @@
 
 The regression tests compare CLI output byte-for-byte against these files,
 so rerun this script only when an output format or model change is
-intentional, and review the diff.
+intentional, and review the diff.  Besides the eight full outputs it writes
+``corpus.txt``: the exit code and the stdout and stderr digests of each
+command of the seeded corpus in ``tests/corpus.py``.
 """
 
 import io
 import pathlib
+import sys
+import tempfile
 
 from sqzbudget.cli import entry
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "src" / "sqzbudget" / "scenarios"
 GOLDEN = REPO / "tests" / "golden"
+
+sys.path.insert(0, str(REPO / "tests"))
+import corpus  # tests/corpus.py, found through the path set above
 
 
 def run(argv):
@@ -40,6 +47,11 @@ def main():
         path = GOLDEN / filename
         path.write_text(run(argv), encoding="utf-8")
         print(f"wrote {path.relative_to(REPO)}")
+    path = GOLDEN / "corpus.txt"
+    with tempfile.TemporaryDirectory() as folder:
+        lines = corpus.lines(pathlib.Path(folder))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {path.relative_to(REPO)} ({len(lines)} commands)")
 
 
 if __name__ == "__main__":
