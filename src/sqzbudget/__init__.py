@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "cavity": "CavityParams apply_cavity finesse reflection",
     "chain": "BudgetReport CavityStage FrequencyGrid LossElement Scenario build_budget "
-             "efficiency_sweep homodyne_readout noise_db propagate total_efficiency",
+             "efficiency_sweep homodyne_readout noise_db propagate",
     "interferometer": "NoiseSpectrum signal_gain snr_spectrum",
     "quadcore": "SpectralCovariance UnphysicalError apply_loss apply_loss_cov db_to_variance "
                 "variance_to_db",

@@ -2,9 +2,10 @@
 
 A Scenario is a source followed by an ordered chain of stages, each either a
 plain efficiency (LossElement) or a detuned cavity (CavityStage), read out by
-a homodyne detector at a fixed quadrature angle.  Frequency-independent
-losses commute and compose multiplicatively; cavities are frequency
-dependent and must keep their place in the chain.
+a homodyne detector at a fixed quadrature angle; the source's escape is the
+first loss of :meth:`Scenario.chain`.  Frequency-independent losses commute
+and compose multiplicatively; cavities are frequency dependent and must
+keep their place in the chain.
 """
 
 import math
@@ -128,16 +129,12 @@ class Scenario:
                 return s
         return None
 
-    def loss_elements(self):
-        return [s for s in self.stages if isinstance(s, LossElement)]
+    def chain(self):
+        """The stages in beam order, led by the source's escape as a LossElement.
 
-
-def total_efficiency(elements):
-    """Product of element efficiencies; 1.0 for an empty chain."""
-    total = 1.0
-    for e in elements:
-        total *= e.eta
-    return total
+        :func:`propagate` and :func:`build_budget` both walk this one chain.
+        """
+        return (LossElement("escape", self.source.escape(), "escape"), *self.stages)
 
 
 def propagate(sc, omega_hz):
@@ -147,10 +144,11 @@ def propagate(sc, omega_hz):
     Hz; the scenario's display grid does not bound it.  This is the one place
     that decides the model's range: each cavity with an FSR is a single
     Lorentzian only for omega + |detuning| < fsr/4 (one given by hwhm alone
-    has no bound).  The stages fold over all frequencies at once; a term that
-    overflows counts as its exact limit (the source far above its bandwidth
-    is vacuum).  Out of range or a non-finite result raises UnphysicalError
-    naming the first bad frequency; lost positivity is an internal error.
+    has no bound).  The stages of ``sc.chain()``, escape first, fold over
+    all frequencies at once; a term that overflows counts as its exact limit
+    (the source far above its bandwidth is vacuum).  Out of range or a
+    non-finite result raises UnphysicalError naming the first bad frequency;
+    lost positivity is an internal error.
     """
     import numpy as np
 
@@ -164,7 +162,7 @@ def propagate(sc, omega_hz):
                      f"{stage.role}: {{!r}} Hz plus |detuning| is past fsr/4")
     with np.errstate(over="ignore", invalid="ignore"):
         s = generated_spectrum(sc.source, omega_hz)
-        for stage in sc.stages:
+        for stage in sc.chain():
             if isinstance(stage, LossElement):
                 s = apply_loss_cov(s, stage.eta)
             else:
@@ -233,8 +231,8 @@ def efficiency_sweep(input_db, eta_min, eta_max, n):
 class BudgetReport:
     """Loss budget of a scenario: per-element rows, category subtotals, totals.
 
-    The escape efficiency of the source appears as the first row; the total
-    is the product of all rows (the frequency-independent part of the chain).
+    The rows are the LossElements of ``Scenario.chain()``, escape first; the
+    total is their product (the frequency-independent part of the chain).
     """
 
     scenario: str
@@ -246,19 +244,18 @@ class BudgetReport:
 
 
 def build_budget(sc):
-    rows = [LossElement("escape", sc.source.escape(), "escape")]
-    rows.extend(sc.loss_elements())
+    rows = tuple(s for s in sc.chain() if isinstance(s, LossElement))
     subtotals = []
     for cat in CATEGORIES:
-        members = [r for r in rows if r.category == cat]
+        members = [r.eta for r in rows if r.category == cat]
         if members:
-            subtotals.append((cat, total_efficiency(members)))
-    total = total_efficiency(rows)
+            subtotals.append((cat, math.prod(members)))
+    total = math.prod(r.eta for r in rows)
     input_db = sc.source.generated_db_at_dc()
     output_db = variance_to_db(apply_loss(db_to_variance(input_db), total))
     return BudgetReport(
         scenario=sc.name,
-        rows=tuple(rows),
+        rows=rows,
         subtotals=tuple(subtotals),
         total=total,
         input_db=input_db,

@@ -1,27 +1,28 @@
-"""Below-threshold OPA squeezed-light source.
+"""Below-threshold OPA squeezed-light source: the state inside the OPA, before escape.
 
 Two source models are provided:
 
 ``physical``
     Textbook below-threshold OPA.  The pump parameter x follows from the
-    measured classical power gain via G = 1/(1-x)^2, and the output
-    quadrature variances at sideband frequency omega are
+    measured classical power gain via G = 1/(1-x)^2, and the quadrature
+    variances at sideband frequency omega are
 
-        V_minus(omega) = 1 - eta_esc * 4x / ((1+x)^2 + (omega/gamma)^2)
-        V_plus(omega)  = 1 + eta_esc * 4x / ((1-x)^2 + (omega/gamma)^2)
+        V_minus(omega) = 1 - 4x / ((1+x)^2 + (omega/gamma)^2)
+        V_plus(omega)  = 1 + 4x / ((1-x)^2 + (omega/gamma)^2)
 
-    with gamma the cavity half width (HWHM) and eta_esc the escape
-    efficiency.  Before escape the state is pure: V-*V+ = 1 at every omega.
+    with gamma the cavity half width (HWHM).  The state is pure: V-*V+ = 1
+    at every omega.
 
 ``direct``
     Calibrated to a stated generated squeezing depth at zero frequency.  The
     squeezing power 1 - V(omega) rolls off as a Lorentzian of half width
-    gamma, the anti-squeezed quadrature is fixed by purity before escape,
-    and the escape loss is applied afterwards.  This mode reproduces
-    observed numbers when technical noise makes the textbook model
-    over-optimistic for a given classical gain.
+    gamma, and the anti-squeezed quadrature is fixed by purity.  This mode
+    reproduces observed numbers when technical noise makes the textbook
+    model over-optimistic for a given classical gain.
 
-Both return an amplitude-quadrature-squeezed covariance diag(V-, V+).
+Both return the pure, amplitude-quadrature-squeezed covariance diag(V-, V+).
+The escape is the first loss of ``Scenario.chain()``, which both
+``chain.propagate`` and ``chain.build_budget`` walk.
 """
 
 import math
@@ -108,21 +109,17 @@ class SourceParams:
 
 
 def generated_spectrum(p, omega_hz):
-    """Covariance at the OPA output (escape applied) at sideband omega_hz (scalar or array)."""
+    """The OPA's pure state, before escape, at sideband omega_hz (scalar or array)."""
     import numpy as np
 
-    eta = p.escape()
     u2 = np.square(omega_hz / p.bandwidth_hz)  # numpy even for a float: overflow obeys np.errstate
     if p.mode == "physical":
         x = pump_parameter(p.classical_gain)
-        vm = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + u2)
-        vp = 1.0 + eta * 4.0 * x / ((1.0 - x) ** 2 + u2)
+        vm = 1.0 - 4.0 * x / ((1.0 + x) ** 2 + u2)
+        vp = 1.0 + 4.0 * x / ((1.0 - x) ** 2 + u2)
     else:
         v0 = db_to_variance(p.gen_db_at_dc)
-        vm_pre = 1.0 - (1.0 - v0) / (1.0 + u2)
-        _require(np.greater(vm_pre, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
-        # the escape loss, as quadcore.apply_loss computes it, on finite variances:
-        # vm_pre > 0 is one minus a float below 1, so 1/vm_pre <= 2**53
-        vm = eta * vm_pre + (1.0 - eta)
-        vp = eta * (1.0 / vm_pre) + (1.0 - eta)
+        vm = 1.0 - (1.0 - v0) / (1.0 + u2)
+        _require(np.greater(vm, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
+        vp = 1.0 / vm
     return SpectralCovariance(vm, vp)

@@ -17,7 +17,6 @@ from sqzbudget.chain import (
     efficiency_sweep,
     homodyne_readout,
     propagate,
-    total_efficiency,
 )
 from sqzbudget.quadcore import (
     SpectralCovariance,
@@ -47,13 +46,26 @@ def test_loss_element_validation():
         LossElement("bad", 0.9, "exotic")
 
 
+def _chain_budget(etas, escape=1.0):
+    """build_budget of a chain whose escape is escape and whose losses have these etas."""
+    source = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+                          escape_eta=escape)
+    return build_budget(Scenario("chain", source, _elements(etas)))
+
+
 def test_total_efficiency_products():
-    assert total_efficiency(_elements(TABLETOP_ETAS)) == pytest.approx(0.654328537425, rel=1e-12)
-    assert total_efficiency(_elements(GEO_ETAS)) == pytest.approx(0.831541391505, rel=1e-12)
-    assert total_efficiency([]) == 1.0
+    # the budget's total efficiency is the product of its rows, the escape first
+    tabletop = _chain_budget(TABLETOP_ETAS[1:], escape=TABLETOP_ETAS[0])
+    geo = _chain_budget(GEO_ETAS[1:], escape=GEO_ETAS[0])
+    assert tabletop.total == pytest.approx(0.654328537425, rel=1e-12)
+    assert geo.total == pytest.approx(0.831541391505, rel=1e-12)
+    assert _chain_budget([]).total == 1.0
     # the rounded figures quoted alongside the chains
-    assert abs(total_efficiency(_elements(TABLETOP_ETAS)) - 0.6543) < 0.0005
-    assert abs(total_efficiency(_elements(GEO_ETAS)) - 0.8315) < 0.0005
+    assert abs(tabletop.total - 0.6543) < 0.0005
+    assert abs(geo.total - 0.8315) < 0.0005
+    # a subtotal is the product of its category's rows
+    for report, etas in ((tabletop, TABLETOP_ETAS), (geo, GEO_ETAS)):
+        assert dict(report.subtotals) == {"escape": etas[0], "other": math.prod(etas[1:])}
 
 
 def test_homodyne_readout():
@@ -164,8 +176,8 @@ def test_propagate_names_first_unphysical_frequency(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_propagate_refuses_a_non_finite_stage(bad, monkeypatch):
-    # the first loss stage yields a non-finite s11 at 7 MHz; the unchecked folds
-    # after it carry that to propagate's exit check, which refuses it as out of range
+    # the first loss stage, the escape, yields a non-finite s11 at 7 MHz; the unchecked
+    # folds after it carry that to propagate's exit check, which refuses it as out of range
     real = chain.apply_loss_cov
     calls = []
 
@@ -181,7 +193,32 @@ def test_propagate_refuses_a_non_finite_stage(bad, monkeypatch):
     monkeypatch.setattr(chain, "apply_loss_cov", broken)
     with pytest.raises(UnphysicalError, match="not finite at 7000000.0 Hz"):
         propagate(_bare_scenario(stages=_elements([0.9, 0.8])), np.array([1.0, 7.0, 9.0]) * MHZ)
-    assert calls == [0.9, 0.8]
+    assert calls == [1.0, 0.9, 0.8]
+
+
+@pytest.mark.parametrize("name", ["tabletop", "geo600", "physical"])
+def test_propagate_and_budget_walk_one_chain(name, request, monkeypatch):
+    # the escape is a stage like any other: propagate folds the budget's rows, in order
+    if name == "physical":  # its escape is set by the coupler/loss pair
+        source = SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=20 * MHZ,
+                              t_out=0.1, loss_rt=0.01)
+        sc = dataclasses.replace(request.getfixturevalue("tabletop"), source=source)
+    else:
+        sc = request.getfixturevalue(name)
+    real = chain.apply_loss_cov
+    etas = []
+
+    def recording(s, eta):
+        etas.append(eta)
+        return real(s, eta)
+
+    monkeypatch.setattr(chain, "apply_loss_cov", recording)
+    propagate(sc, np.array([5.0, 10.0]) * MHZ)
+    rows = build_budget(sc).rows
+    assert etas == [r.eta for r in rows]
+    assert rows == tuple(s for s in sc.chain() if isinstance(s, LossElement))
+    assert rows[0] == LossElement("escape", sc.source.escape(), "escape")
+    assert sc.chain()[1:] == sc.stages
 
 
 def test_noise_db_names_first_non_positive_variance(monkeypatch):
@@ -228,10 +265,11 @@ def test_frequency_independent_stages_commute(tabletop):
         assert x1.s22 == pytest.approx(x3.s22, abs=1e-12)
 
 
-@given(st.lists(st.floats(min_value=0.3, max_value=1.0), min_size=0, max_size=6))
-def test_total_efficiency_order_independent(etas):
-    forward = total_efficiency(_elements(etas))
-    backward = total_efficiency(_elements(list(reversed(etas))))
+@given(st.lists(st.floats(min_value=0.3, max_value=1.0), min_size=0, max_size=6),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_total_efficiency_order_independent(etas, escape):
+    forward = _chain_budget(etas, escape).total
+    backward = _chain_budget(list(reversed(etas)), escape).total
     assert forward == pytest.approx(backward, rel=1e-12)
     assert 0.0 <= forward <= 1.0 + 1e-12
 

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget.quadcore import UnphysicalError, apply_loss, db_to_variance, variance_to_db
+from sqzbudget.quadcore import (
+    UnphysicalError,
+    apply_loss,
+    apply_loss_cov,
+    db_to_variance,
+    variance_to_db,
+)
 from sqzbudget.source import (
     SourceParams,
     escape_efficiency,
@@ -73,11 +79,13 @@ def test_no_pump_gives_vacuum():
 
 
 @given(st.floats(min_value=0.0, max_value=0.9),
-       st.floats(min_value=0.0, max_value=100.0))
-def test_physical_mode_pure_before_escape(x, omega_mhz):
+       st.floats(min_value=0.0, max_value=100.0),
+       st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+def test_physical_mode_pure_before_escape(x, omega_mhz, eta):
+    # the source emits the state inside the OPA, whatever its escape
     gain = 1.0 / (1.0 - x) ** 2
     p = SourceParams(mode="physical", classical_gain=gain, bandwidth_hz=20 * MHZ,
-                     escape_eta=1.0)
+                     escape_eta=eta)
     s = generated_spectrum(p, omega_mhz * MHZ)
     assert s.s11 * s.s22 == pytest.approx(1.0, rel=1e-10)
 
@@ -86,10 +94,11 @@ def test_physical_mode_pure_before_escape(x, omega_mhz):
        st.floats(min_value=0.0, max_value=100.0),
        st.floats(min_value=0.0, max_value=1.0))
 def test_physical_mode_never_purer_than_pure(x, omega_mhz, eta):
+    # after its escape, the first stage of the chain
     gain = 1.0 / (1.0 - x) ** 2
     p = SourceParams(mode="physical", classical_gain=gain, bandwidth_hz=20 * MHZ,
                      escape_eta=eta)
-    s = generated_spectrum(p, omega_mhz * MHZ)
+    s = apply_loss_cov(generated_spectrum(p, omega_mhz * MHZ), p.escape())
     assert s.s11 * s.s22 >= 1.0 - 1e-10
     assert s.s11 > 0.0
 
@@ -98,12 +107,16 @@ def test_direct_mode_dc_value():
     p = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
                      escape_eta=0.9)
     s = generated_spectrum(p, 0.0)
-    assert s.s11 == pytest.approx(0.34223813235342241, rel=1e-13)
-    assert s.s11 == pytest.approx(apply_loss(db_to_variance(5.7), 0.9), rel=1e-14)
+    # the generated depth, before escape
+    assert s.s11 == pytest.approx(0.2691534803926916, rel=1e-13)
+    assert s.s11 == pytest.approx(db_to_variance(5.7), rel=1e-15)
+    # the escape, the first stage of the chain, gives the depth leaving the OPA
+    out = apply_loss_cov(s, p.escape()).s11
+    assert out == pytest.approx(0.34223813235342241, rel=1e-13)
+    assert out == pytest.approx(apply_loss(db_to_variance(5.7), 0.9), rel=1e-14)
 
 
 def test_direct_mode_half_power_at_bandwidth():
-    # with escape_eta = 1 the pre- and post-escape spectra coincide
     p = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
                      escape_eta=1.0)
     v0 = generated_spectrum(p, 0.0).s11
@@ -112,11 +125,13 @@ def test_direct_mode_half_power_at_bandwidth():
 
 
 def test_direct_mode_pure_before_escape():
-    p = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
-                     escape_eta=1.0)
-    for omega in (0.0, 7 * MHZ, 33 * MHZ):
-        s = generated_spectrum(p, omega)
-        assert s.s11 * s.s22 == pytest.approx(1.0, rel=1e-12)
+    # the source emits the state inside the OPA, whatever its escape
+    for eta in (0.0, 0.5, 0.9, 1.0):
+        p = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+                         escape_eta=eta)
+        for omega in (0.0, 7 * MHZ, 33 * MHZ):
+            s = generated_spectrum(p, omega)
+            assert s.s11 * s.s22 == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode,kwargs", [
