@@ -87,14 +87,21 @@ class FrequencyGrid:
             raise ValueError("need at least 2 grid points")
 
     def frequencies(self):
-        """The grid as an array, refused if rounding repeats a value.
+        """The grid as an array, refused if too large to allocate or if rounding repeats a value.
 
         Checked here, not when built: a grid is built for every command, and
         only the ones that read it should pay for the array.
         """
         import numpy as np
 
-        f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
+        # near intp-max bytes (linspace sizes the array through a float) numpy
+        # fails in ways of its own; a smaller grid fails, if at all, in allocation
+        if self.points > np.iinfo(np.intp).max // 16:
+            raise _too_large(self.points)
+        try:
+            f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
+        except MemoryError:
+            raise _too_large(self.points) from None
         if not (f[1:] > f[:-1]).all():
             raise ValueError("frequency grid must be strictly increasing")
         return f
@@ -199,6 +206,10 @@ def noise_db(sc, frequencies):
     return -10.0 * np.log10(v)
 
 
+def _too_large(n):
+    return MemoryError(f"a grid of {n} points is too large to allocate")
+
+
 def _linspace(start, stop, n):
     """``numpy.linspace(start, stop, n).tolist()`` value for value, without numpy.
 
@@ -207,7 +218,7 @@ def _linspace(start, stop, n):
     try:
         grid = [0.0] * n
     except (MemoryError, OverflowError):  # OverflowError: n past sys.maxsize
-        raise MemoryError(f"a grid of {n} points is too large to allocate") from None
+        raise _too_large(n) from None
     delta = stop - start
     step = delta / (n - 1)
     for i in range(n - 1):
@@ -245,19 +256,9 @@ class BudgetReport:
 
 def build_budget(sc):
     rows = tuple(s for s in sc.chain() if isinstance(s, LossElement))
-    subtotals = []
-    for cat in CATEGORIES:
-        members = [r.eta for r in rows if r.category == cat]
-        if members:
-            subtotals.append((cat, math.prod(members)))
+    subtotals = tuple((cat, math.prod(r.eta for r in rows if r.category == cat))
+                      for cat in CATEGORIES if any(r.category == cat for r in rows))
     total = math.prod(r.eta for r in rows)
     input_db = sc.source.generated_db_at_dc()
     output_db = variance_to_db(apply_loss(db_to_variance(input_db), total))
-    return BudgetReport(
-        scenario=sc.name,
-        rows=rows,
-        subtotals=tuple(subtotals),
-        total=total,
-        input_db=input_db,
-        output_db=output_db,
-    )
+    return BudgetReport(sc.name, rows, subtotals, total, input_db, output_db)

@@ -312,18 +312,19 @@ def test_cavity_past_half_double_range_loads(tmp_path, capsys, golden_dir):
 
 
 def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
-    # 1e17 points are 711 PiB of float64, beyond any 64-bit address space, so
-    # numpy refuses the array without reserving memory for it
-    huge = "100000000000000000"
-    scn = _tabletop_with(tmp_path, "points = 201", f"points = {huge}")
-    for argv in (["spectrum", bundled_scenario_path("tabletop"), "--points", huge],
-                 ["spectrum", scn]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, text = run(argv)
-        assert code == 2
-        assert text == ""
-        assert "Unable to allocate" in _only_error_line(capsys)
+    # 1e14 points of float64 are 728 TiB, more than a 48-bit address space holds,
+    # and 1e17 are 711 PiB, so the allocation fails without reserving memory;
+    # numpy refuses the two larger sizes before allocating, in ways of its own
+    for points in (10**14, 2**63 - 1, 10**30, 10**17):
+        scn = _tabletop_with(tmp_path, "points = 201", f"points = {points}")
+        for argv in (["spectrum", bundled_scenario_path("tabletop"), "--points", str(points)],
+                     ["spectrum", scn]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, text = run(argv)
+            assert (code, text) == (2, "")
+            assert _only_error_line(capsys) == (
+                f"error: a grid of {points} points is too large to allocate")
 
 
 @pytest.mark.parametrize("points", [10**14, 2**63 - 1, 10**30])
