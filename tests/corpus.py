@@ -30,9 +30,9 @@ import io
 import random
 import warnings
 
+from sqzbudget.chain import CATEGORIES
 from sqzbudget.cli import entry
 
-CATEGORIES = ("escape", "mode_matching", "isolator_rotator", "photodiode", "intra_cavity", "other")
 CAVITY_ORDERS = ((), ("filter_cavity",), ("src",), ("filter_cavity", "src"), ("src", "filter_cavity"))
 CAVITY_FORMS = ("length_m", "fsr_mhz", "hwhm_mhz")
 SHAPES = [(mode, escape, cavities) for mode in ("direct", "physical")

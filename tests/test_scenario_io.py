@@ -1,4 +1,5 @@
 import math
+import pathlib
 import textwrap
 
 import pytest
@@ -25,6 +26,15 @@ MINIMAL = textwrap.dedent("""\
     bandwidth_mhz = 20
     escape_eta = 0.9
     """)
+
+
+def test_readme_example_is_the_tabletop_scenario(tabletop):
+    # the ini block under "Scenario files" parses, and says what tabletop.scn says
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_scenario(example, name="tabletop") == tabletop
 
 
 def test_parse_bundled_tabletop(tabletop):
