@@ -31,7 +31,7 @@ CATEGORIES = (
     "other",
 )
 
-# a cavity's role is also its .scn section name and its [losses] marker
+# a cavity's stage name is also its .scn section name and its [losses] marker
 CAVITY_ROLES = ("filter_cavity", "src")
 
 CHUNK_POINTS = 2048  # grid points propagated (and written as CSV rows) together
@@ -59,14 +59,14 @@ class LossElement:
 
 @dataclass(frozen=True)
 class CavityStage:
-    """A detuned cavity in the chain, tagged by its role, one of CAVITY_ROLES."""
+    """A detuned cavity in the chain, named by one of CAVITY_ROLES."""
 
-    role: str
+    name: str
     params: _cavity.CavityParams
 
     def __post_init__(self):
-        if self.role not in CAVITY_ROLES:
-            raise ValueError(f"cavity role must be one of {CAVITY_ROLES}, got {self.role!r}")
+        if self.name not in CAVITY_ROLES:
+            raise ValueError(f"cavity name must be one of {CAVITY_ROLES}, got {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -121,27 +121,25 @@ class Scenario:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not math.isfinite(self.homodyne_angle):
             raise ValueError(f"homodyne_angle must be finite, got {self.homodyne_angle!r}")
+        chain = (LossElement("escape", self.source.escape(), "escape"), *self.stages)
         # a stage's name is its key in [losses], so each may appear once
         names = set()
-        for s in self.stages:
-            name = s.role if isinstance(s, CavityStage) else s.name
-            if name in names:
-                raise ValueError(f"stage {name!r} appears twice in the chain")
-            names.add(name)
+        for s in chain:
+            if s.name in names:
+                raise ValueError(f"stage {s.name!r} appears twice in the chain")
+            names.add(s.name)
+        object.__setattr__(self, "_chain", chain)
 
-    def cavity_stage(self, role):
-        """The stage of the cavity with this role ("filter_cavity" or "src"), or None."""
-        for s in self.stages:
-            if isinstance(s, CavityStage) and s.role == role:
-                return s
-        return None
+    def cavity_stage(self, name):
+        """The stage of this name, such as the cavity "filter_cavity" or "src", or None."""
+        return next((s for s in self.stages if s.name == name), None)
 
     def chain(self):
         """The stages in beam order, led by the source's escape as a LossElement.
 
         :func:`propagate` and :func:`build_budget` both walk this one chain.
         """
-        return (LossElement("escape", self.source.escape(), "escape"), *self.stages)
+        return self._chain
 
 
 def propagate(sc, omega_hz):
@@ -166,7 +164,7 @@ def propagate(sc, omega_hz):
             # omega + |detuning| < fsr/4, arranged so that no term overflows
             bound = stage.params.fsr() / 4.0 - abs(stage.params.detuning_hz)
             _require(np.less(omega_hz, bound), omega_hz,
-                     f"{stage.role}: {{!r}} Hz plus |detuning| is past fsr/4")
+                     f"{stage.name}: {{!r}} Hz plus |detuning| is past fsr/4")
     with np.errstate(over="ignore", invalid="ignore"):
         s = generated_spectrum(sc.source, omega_hz)
         for stage in sc.chain():

@@ -1,7 +1,8 @@
 """Command-line interface: budget tables, spectrum CSVs, efficiency sweeps.
 
 Exit codes: 0 success, 2 parse or usage error (or a grid too large to allocate),
-3 physically invalid model.
+3 physically invalid model; each non-zero exit, a usage error too, prints one
+``error:`` line on stderr.
 All frequencies on the command line and in output are MHz; dB values are
 printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)``
 may be called repeatedly in one process; the parser is built once, on first use.
@@ -82,9 +83,17 @@ def cmd_sweep(args, out):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises a usage error, for entry to report on one line."""
+
+    def error(self, message):
+        # argparse quotes an unrecognized argument as given, line breaks and all
+        raise ValueError(f"{self.prog}: " + "\\n".join(message.splitlines()))
+
+
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqzbudget",
         description="Loss budgets and quantum-noise spectra for squeezed-light setups.",
     )
@@ -112,10 +121,9 @@ def build_parser():
 
 def entry(argv=None, out=None):
     """Console entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
+        args = build_parser().parse_args(argv)  # subparsers inherit _Parser
         return args.func(args, out)
     except UnphysicalError as exc:
         print(f"error: {exc}", file=sys.stderr)

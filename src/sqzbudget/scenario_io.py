@@ -16,7 +16,7 @@ that differs from its default.
 The [losses] section is ordered and defines the chain: plain elements are
 ``name = eta @ category`` lines, and each cavity section is placed in the
 chain by a marker line with its name, ``filter_cavity = @cavity`` or
-``src = @cavity``; the section name is the cavity's role in
+``src = @cavity``; the section name is the cavity's stage name in
 :class:`CavityStage`.  A cavity section without its marker (or vice versa)
 is an error, since the chain position of a cavity changes the result.
 
@@ -172,7 +172,7 @@ def _build_losses(sections, cavities):
                     f"got {name!r}", lineno)
             if name not in cavities:
                 raise ScenarioParseError(f"marker references missing section [{name}]", lineno)
-            stages.append(CavityStage(role=name, params=cavities[name]))
+            stages.append(CavityStage(name, cavities[name]))
             continue
         if name in CAVITY_ROLES:
             raise ScenarioParseError(
@@ -204,8 +204,8 @@ def parse_scenario(text, name="scenario"):
     if "source" not in sections:
         raise ScenarioParseError("missing required section [source]")
     source = SourceParams(**_read_section("source", sections))
-    cavities = {role: CavityParams(**_read_section(role, sections))
-                for role in CAVITY_ROLES if role in sections}
+    cavities = {name: CavityParams(**_read_section(name, sections))
+                for name in CAVITY_ROLES if name in sections}
     stages = _build_losses(sections, cavities)
     kwargs = _read_section("detection", sections)
     if "grid" in sections:
@@ -243,8 +243,8 @@ def format_scenario(sc):
     out, losses = _section("source", sc.source), ["[losses]"]
     for stage in sc.stages:
         if isinstance(stage, CavityStage):
-            out += _section(stage.role, stage.params)
-            losses.append(f"{stage.role} = {_MARKER}")
+            out += _section(stage.name, stage.params)
+            losses.append(f"{stage.name} = {_MARKER}")
         else:
             losses.append(f"{stage.name} = {_fmt(stage.eta)} @ {stage.category}")
     return "\n".join(out + losses + [""] + _section("detection", sc) + _section("grid", sc.grid))

@@ -154,10 +154,7 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        try:
-            code = entry(argv, out=out)
-        except SystemExit as exc:  # an argparse usage error
-            code = exc.code
+        code = entry(argv, out=out)
     return code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
 
 

@@ -118,6 +118,9 @@ def test_scenario_rejects_duplicate_roles():
     # a loss name is a key of [losses], which format_scenario could not write twice
     with pytest.raises(ValueError, match="'a' appears twice"):
         _bare_scenario(stages=(LossElement("a", 0.9), LossElement("a", 0.8)))
+    # the source's escape is the chain's first stage, so no other stage takes its name
+    with pytest.raises(ValueError, match="'escape' appears twice"):
+        _bare_scenario(stages=(LossElement("escape", 0.9),))
     with pytest.raises(ValueError):
         CavityStage("recycling", cav)
     with pytest.raises(ValueError, match="need length_m"):
@@ -344,3 +347,9 @@ def test_scenario_replace_keeps_stages(tabletop):
     # dataclasses.replace round-trips the frozen scenario
     clone = dataclasses.replace(tabletop)
     assert clone == tabletop
+    # the chain is built once, and rebuilt by replace from the new source's escape
+    assert tabletop.chain() is tabletop.chain()
+    source = dataclasses.replace(tabletop.source, escape_eta=0.5)
+    chain = dataclasses.replace(tabletop, source=source).chain()
+    assert chain[0] == LossElement("escape", 0.5, "escape")
+    assert chain[1:] == tabletop.stages

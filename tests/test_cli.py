@@ -396,27 +396,57 @@ def test_bad_sweep_range_exits_2():
     assert code == 2
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as excinfo:
-        entry(["sweep"])  # --input-db is required
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        entry([])
-    assert excinfo.value.code == 2
+def test_usage_errors_exit_2(capsys):
+    # entry returns the code of a usage error, as of any other, and prints one line
+    for argv, message in [
+        (["sweep"], "sqzbudget sweep: the following arguments are required: --input-db"),
+        ([], "sqzbudget: the following arguments are required: command"),
+        (["spectrum", bundled_scenario_path("tabletop"), "--points", "abc"],
+         "sqzbudget spectrum: argument --points: invalid int value: 'abc'"),
+        (["sweep", "--input-db", "10", "--bogus"], "sqzbudget: unrecognized arguments: --bogus"),
+        # argparse quotes an unrecognized argument as given; its line break is escaped
+        (["sweep", "--input-db", "10", "a\nb"], "sqzbudget: unrecognized arguments: a\\nb"),
+    ]:
+        assert run(argv) == (2, "")
+        assert _only_error_line(capsys) == f"error: {message}"
 
 
-def test_parser_builds_help():
+def test_module_usage_error_prints_one_line():
+    proc = _run_module(["sweep"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "error: sqzbudget sweep: the following arguments are required: --input-db"]
+
+
+@pytest.mark.parametrize("command", ["budget", "spectrum"])
+def test_loss_named_escape_exits_2(command, tmp_path, capsys):
+    # the source's escape is the first stage of the chain, so a [losses] line
+    # of that name repeats a stage name
+    text = pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8")
+    assert text.count("isolator = ") == 1
+    scn = tmp_path / "escape.scn"
+    scn.write_text(text.replace("isolator = ", "escape = "), encoding="utf-8")
+    assert run([command, str(scn)]) == (2, "")
+    assert _only_error_line(capsys) == "error: stage 'escape' appears twice in the chain"
+
+
+def test_parser_builds_help(capsys):
     parser = build_parser()
     assert "budget" in parser.format_help()
+    # asking for help is no usage error: it prints the help and exits 0
+    with pytest.raises(SystemExit) as excinfo:
+        entry(["sweep", "--help"])
+    assert excinfo.value.code == 0
+    assert "--input-db" in capsys.readouterr().out
 
 
-def test_shared_parser_is_safe_to_reuse(golden_dir):
+def test_shared_parser_is_safe_to_reuse(golden_dir, capsys):
     # one parser serves every call in the process; a usage error or an
     # override in one call must not leak into the next
     assert build_parser() is build_parser()
-    with pytest.raises(SystemExit) as excinfo:
-        entry(["sweep"])
-    assert excinfo.value.code == 2
+    assert run(["sweep"]) == (2, "")
+    assert _only_error_line(capsys).startswith("error: sqzbudget sweep: ")
     code, text = run(["budget", bundled_scenario_path("tabletop")])
     assert code == 0
     assert text == (golden_dir / "tabletop_budget.txt").read_text(encoding="utf-8")

@@ -49,7 +49,7 @@ def test_parse_bundled_tabletop(tabletop):
         if kind == "loss":
             assert isinstance(stage, LossElement)
         else:
-            assert isinstance(stage, CavityStage) and stage.role == kind
+            assert isinstance(stage, CavityStage) and stage.name == kind
     fc = tabletop.cavity_stage("filter_cavity").params
     src = tabletop.cavity_stage("src").params
     assert fc.detuning_hz == -10 * MHZ
@@ -144,10 +144,10 @@ def scenarios(draw):
         used.add(name)
         stages.append(LossElement(name, draw(etas_2dp),
                                   draw(st.sampled_from(("mode_matching", "other")))))
-    for role in ("filter_cavity", "src"):
+    for name in ("filter_cavity", "src"):
         if draw(st.booleans()):
             at = draw(st.integers(min_value=0, max_value=len(stages)))
-            stages.insert(at, CavityStage(role, draw(cavities())))
+            stages.insert(at, CavityStage(name, draw(cavities())))
     kmin = draw(st.integers(min_value=1, max_value=500))
     kspan = draw(st.integers(min_value=1, max_value=100))
     grid = FrequencyGrid(kmin / 10 * MHZ, (kmin + kspan) / 10 * MHZ,
