@@ -3,9 +3,10 @@
 A Scenario is a source followed by an ordered chain of stages, each either a
 plain efficiency (LossElement) or a detuned cavity (CavityStage), read out by
 a homodyne detector at a fixed quadrature angle; the source's escape is the
-first loss of :meth:`Scenario.chain`.  Frequency-independent losses commute
-and compose multiplicatively; cavities are frequency dependent and must
-keep their place in the chain.
+first loss of :meth:`Scenario.chain`.  Each stage maps S to M S M^dagger +
+I - M M^dagger, with M = sqrt(eta)*I for a loss and the cavity's T = [[d, o],
+[-o, d]].  These M commute, so the order changes the spectrum only by rounding;
+it orders the budget's rows, the written [losses] and any per-stage split.
 """
 
 import math
@@ -33,8 +34,6 @@ CATEGORIES = (
 
 # a cavity's stage name is also its .scn section name and its [losses] marker
 CAVITY_ROLES = ("filter_cavity", "src")
-
-CHUNK_POINTS = 2048  # grid points propagated (and written as CSV rows) together
 
 
 @dataclass(frozen=True)
@@ -190,16 +189,13 @@ def noise_db(sc, frequencies):
     """Homodyne noise in dB below shot noise at each frequency.
 
     Shot noise is the vacuum fixed point of the chain (relative variance 1),
-    so no reference run is needed.  The grid is propagated CHUNK_POINTS at a
-    time, which keeps the temporaries the same size at any grid length.
+    so no reference run is needed.  The array is propagated whole, so the
+    temporaries grow with it; ``sqzbudget spectrum`` passes one chunk at a time.
     """
     import numpy as np
 
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    v = np.empty_like(freqs)
-    for start in range(0, freqs.size, CHUNK_POINTS):
-        part = slice(start, start + CHUNK_POINTS)
-        v[part] = homodyne_readout(propagate(sc, freqs[part]), sc.homodyne_angle)
+    v = homodyne_readout(propagate(sc, freqs), sc.homodyne_angle)
     _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
     return -10.0 * np.log10(v)
 

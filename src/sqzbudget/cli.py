@@ -9,7 +9,8 @@ may be called repeatedly in one process; the parser is built once, on first use.
 
 ``budget`` and ``sweep`` are scalar arithmetic on floats and never import
 numpy; ``spectrum`` imports :mod:`sqzbudget.interferometer`, and with it
-numpy and the array kernels, only when it runs.
+numpy and the array kernels, only when it runs; it computes and formats the
+grid CHUNK_POINTS rows at a time, and prints nothing until every chunk has passed.
 """
 
 import argparse
@@ -19,6 +20,8 @@ import sys
 from . import chain
 from .quadcore import UnphysicalError
 from .scenario_io import load_scenario
+
+CHUNK_POINTS = 2048  # grid points that ``spectrum`` computes and formats together
 
 
 def _csv_lines(columns):
@@ -62,17 +65,17 @@ def cmd_spectrum(args, out):
     from . import interferometer
 
     sc = load_scenario(args.scenario)
-    grid = chain.FrequencyGrid(
+    freqs = chain.FrequencyGrid(
         fmin_hz=(args.fmin_mhz * 1e6 if args.fmin_mhz is not None else sc.grid.fmin_hz),
         fmax_hz=(args.fmax_mhz * 1e6 if args.fmax_mhz is not None else sc.grid.fmax_hz),
         points=(args.points if args.points is not None else sc.grid.points),
-    )
-    ns = interferometer.snr_spectrum(sc, grid.frequencies())
-    columns = (ns.frequency_hz / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
-    out.write("frequency_mhz,noise_db,signal_db,snr_improvement_db\n")
-    # chunked like the propagation, so the text built at once does not grow with the grid
-    for start in range(0, ns.frequency_hz.size, chain.CHUNK_POINTS):
-        out.write(_csv_lines([c[start:start + chain.CHUNK_POINTS].tolist() for c in columns]))
+    ).frequencies()
+    chunks = ["frequency_mhz,noise_db,signal_db,snr_improvement_db\n"]
+    for start in range(0, freqs.size, CHUNK_POINTS):
+        ns = interferometer.snr_spectrum(sc, freqs[start:start + CHUNK_POINTS])
+        columns = (ns.frequency_hz / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
+        chunks.append(_csv_lines([c.tolist() for c in columns]))
+    out.writelines(chunks)
     return 0
 
 

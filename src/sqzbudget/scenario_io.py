@@ -18,7 +18,7 @@ The [losses] section is ordered and defines the chain: plain elements are
 chain by a marker line with its name, ``filter_cavity = @cavity`` or
 ``src = @cavity``; the section name is the cavity's stage name in
 :class:`CavityStage`.  A cavity section without its marker (or vice versa)
-is an error, since the chain position of a cavity changes the result.
+is an error, since the marker places the cavity in :meth:`Scenario.chain`.
 
 Example::
 

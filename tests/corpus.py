@@ -1,11 +1,12 @@
 """A seeded corpus of CLI commands whose outputs pin the program's behaviour.
 
-:func:`lines` writes the corpus scenario files into a folder, runs every
-command in-process through ``cli.entry`` and returns one line per command:
-the exit code, the sha256 of stdout and of stderr, and a command id.  The id
-is the argv with each scenario path cut to its file name, so it is the same
-wherever the folder is.  ``scripts/make_goldens.py`` writes these lines to
-``tests/golden/corpus.txt`` and ``tests/test_corpus.py`` compares them.
+:func:`outputs` writes the corpus scenario files into a folder and runs every
+command in-process through ``cli.entry``.  :func:`lines` gives one line per
+output: the exit code, the sha256 of stdout and of stderr, and a command id.
+The id is the argv with each scenario path cut to its file name, so it is
+the same wherever the folder is.  ``scripts/make_goldens.py`` writes these
+lines to ``tests/golden/corpus.txt`` and ``tests/test_corpus.py`` compares
+them.
 
 The commands are:
 
@@ -147,7 +148,7 @@ def commands(folder):
 
 
 def run(argv):
-    """Exit code and sha256 hex digests of stdout and stderr of one in-process command.
+    """Exit code, stdout and stderr of one in-process command.
 
     Warnings are errors, so a leaked warning shows as a changed line.
     """
@@ -155,14 +156,22 @@ def run(argv):
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         code = entry(argv, out=out)
-    return code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+    return code, out.getvalue(), err.getvalue()
+
+
+def outputs(folder):
+    """(command id argv, exit code, stdout, stderr) of each command, run in folder."""
+    for argv in commands(folder):
+        yield argv, *run([argv[0], *(str(folder / a) if a.endswith(".scn") else a
+                                     for a in argv[1:])])
+
+
+def line(argv, code, out, err):
+    """The corpus line of one output: exit code, stdout digest, stderr digest, command id."""
+    out_digest, err_digest = (hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
+    return f"{code} {out_digest} {err_digest} {' '.join(argv)}"
 
 
 def lines(folder):
-    """One corpus line per command: exit code, stdout digest, stderr digest, command id."""
-    result = []
-    for argv in commands(folder):
-        code, out, err = run([argv[0], *(str(folder / a) if a.endswith(".scn") else a
-                                         for a in argv[1:])])
-        result.append(f"{code} {out} {err} {' '.join(argv)}")
-    return result
+    """One corpus line per command."""
+    return [line(*output) for output in outputs(folder)]

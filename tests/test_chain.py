@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -266,6 +267,36 @@ def test_frequency_independent_stages_commute(tabletop):
         assert x1.s11 == pytest.approx(x2.s11, abs=1e-12)
         assert x1.s11 == pytest.approx(x3.s11, abs=1e-12)
         assert x1.s22 == pytest.approx(x3.s22, abs=1e-12)
+
+    # cavities commute too: each stage maps S to M S M^dagger + I - M M^dagger,
+    # with M = sqrt(eta)*I or d*I + o*[[0, 1], [-1, 0]], and all such M commute
+    def same_spectrum(sc, stages):
+        freqs = sc.grid.frequencies()
+        moved = chain.noise_db(dataclasses.replace(sc, stages=tuple(stages)), freqs)
+        assert np.max(np.abs(moved - chain.noise_db(sc, freqs))) <= 1e-12
+
+    rng = random.Random("stage order")
+    stages = list(tabletop.stages)
+    same_spectrum(tabletop, reversed(stages))
+    for _ in range(3):
+        rng.shuffle(stages)
+        same_spectrum(tabletop, stages)
+    for mode in ("direct", "physical", "direct", "physical"):  # seeded two-cavity chains
+        source = SourceParams(mode=mode, bandwidth_hz=rng.uniform(3.0, 60.0) * MHZ,
+                              gen_db_at_dc=rng.uniform(1.0, 15.0),
+                              classical_gain=rng.uniform(1.5, 40.0),
+                              escape_eta=rng.uniform(0.6, 1.0))
+        cavities = [CavityStage(name, CavityParams(
+            t_in=rng.uniform(0.02, 0.2), loss_rt=rng.uniform(0.0, 0.005),
+            detuning_hz=rng.uniform(-12.0, 12.0) * MHZ, hwhm_hz=rng.uniform(0.3, 5.0) * MHZ))
+            for name in chain.CAVITY_ROLES]
+        losses = [LossElement(f"l{k}", rng.uniform(0.85, 0.999)) for k in range(rng.randint(0, 4))]
+        sc = Scenario("two", source, (*cavities, *losses), rng.uniform(-0.4, 0.4),
+                      FrequencyGrid(0.1 * MHZ, 25 * MHZ, 41))
+        stages = list(sc.stages)
+        same_spectrum(sc, reversed(stages))
+        rng.shuffle(stages)
+        same_spectrum(sc, stages)
 
 
 @given(st.lists(st.floats(min_value=0.3, max_value=1.0), min_size=0, max_size=6),

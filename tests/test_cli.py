@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import sqzbudget
-from sqzbudget import chain
+from sqzbudget import chain, cli
 from sqzbudget.cli import _csv_lines, build_parser, entry
 
 from conftest import bundled_scenario_path
@@ -56,10 +56,23 @@ def test_spectrum_matches_golden(name, golden_dir):
 @pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum"])
 def test_chunked_spectrum_matches_golden(name, golden_dir, monkeypatch):
     # 7 leaves a short last chunk on both the 201- and the 10-point grids
-    monkeypatch.setattr(chain, "CHUNK_POINTS", 7)
+    monkeypatch.setattr(cli, "CHUNK_POINTS", 7)
     code, text = run(["spectrum", bundled_scenario_path(name)])
     assert code == 0
     assert text == (golden_dir / f"{name}_spectrum.csv").read_text(encoding="utf-8")
+
+
+def test_refused_chunk_after_a_good_one_prints_nothing(capsys):
+    # the filter cavity's fsr/4 bound falls at row 2283 of 5000, in the second
+    # chunk: the rows of the first chunk, already computed, are not written
+    assert 2 * cli.CHUNK_POINTS > 2283 > cli.CHUNK_POINTS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["spectrum", bundled_scenario_path("tabletop"),
+                          "--fmax-mhz", "40", "--points", "5000"])
+    assert (code, text) == (3, "")
+    assert _only_error_line(capsys) == (
+        "error: filter_cavity: 20977195.439087816 Hz plus |detuning| is past fsr/4")
 
 
 def _run_module(argv):

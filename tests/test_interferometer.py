@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget import chain
 from sqzbudget.cavity import CavityParams, apply_cavity
 from sqzbudget.chain import (
     CavityStage,
@@ -189,7 +188,9 @@ def _without_cavities(sc):
 
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum", "tabletop_without_cavities"])
-def test_chunked_spectrum_matches_scalar_path(name, monkeypatch):
+def test_chunked_spectrum_matches_scalar_path(name):
+    # the whole grid as one array against one float at a time; the CLI's chunk
+    # boundaries are pinned byte for byte in test_cli
     base, _, rest = name.partition("_")
     sc = load_bundled(base)
     if rest:
@@ -197,15 +198,13 @@ def test_chunked_spectrum_matches_scalar_path(name, monkeypatch):
     freqs = sc.grid.frequencies()
     scalar = np.array([variance_to_db(homodyne_readout(propagate(sc, float(f)), sc.homodyne_angle))
                        for f in freqs])
-    for chunk in (3, 7):  # chunk boundaries fall inside every bundled grid
-        monkeypatch.setattr(chain, "CHUNK_POINTS", chunk)
-        assert np.max(np.abs(noise_db(sc, freqs) - scalar)) <= 1e-12
-        ns = snr_spectrum(sc, freqs)
-        assert np.max(np.abs(ns.noise_db - scalar)) <= 1e-12
-        if sc.cavity_stage("src") is not None:
-            signal = [10.0 * math.log10(signal_gain(sc.cavity_stage("src").params, f))
-                      for f in freqs]
-            assert np.max(np.abs(ns.signal_db - signal)) <= 1e-12
+    assert np.max(np.abs(noise_db(sc, freqs) - scalar)) <= 1e-12
+    ns = snr_spectrum(sc, freqs)
+    assert np.max(np.abs(ns.noise_db - scalar)) <= 1e-12
+    if sc.cavity_stage("src") is not None:
+        signal = [10.0 * math.log10(signal_gain(sc.cavity_stage("src").params, f))
+                  for f in freqs]
+        assert np.max(np.abs(ns.signal_db - signal)) <= 1e-12
 
 
 def test_spectrum_refuses_past_quarter_fsr(tabletop):
