@@ -20,8 +20,7 @@ _EXPORTS = {name: module for module, names in {
     "chain": "BudgetReport CavityStage FrequencyGrid LossElement Scenario build_budget "
              "efficiency_sweep homodyne_readout noise_db propagate",
     "interferometer": "NoiseSpectrum signal_gain snr_spectrum",
-    "quadcore": "SpectralCovariance UnphysicalError apply_loss apply_loss_cov db_to_variance "
-                "variance_to_db",
+    "quadcore": "SpectralCovariance UnphysicalError apply_loss db_to_variance variance_to_db",
     "scenario_io": "ScenarioParseError format_scenario load_scenario parse_scenario",
     "source": "SourceParams escape_efficiency generated_spectrum pump_parameter",
 }.items() for name in names.split()}

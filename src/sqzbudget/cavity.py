@@ -17,31 +17,24 @@ which is a good approximation while |omega - detuning| stays well below the
 FSR (:meth:`CavityParams.fsr`).  The functions here compute past fsr/4 too;
 :func:`sqzbudget.chain.propagate` alone refuses sidebands there.
 
-A detuned cavity treats the two sidebands of a quadrature pair differently.
-In the two-photon picture the quadrature-domain transfer at sideband
-frequency omega follows from a = r(+omega) and b = conj(r(-omega)):
-
-    T = [[d, o], [-o, d]],  d = (a + b)/2,  o = i(a - b)/2
-
-For a lossless cavity T is (up to a global phase) a rotation of the squeezing
-ellipse; with round-trip loss the missing power is refilled with vacuum, and
+A detuned cavity multiplies the upper sideband at omega by a = r(+omega) and
+the lower by b = conj(r(-omega)); in the quadrature basis that is the transfer
+T = [[d, o], [-o, d]] with d = (a + b)/2 and o = i(a - b)/2.  For a lossless
+cavity T is (up to a global phase) a rotation of the squeezing ellipse; with
+round-trip loss the missing power is refilled with vacuum, and
 :func:`apply_cavity` maps a covariance to S' = T S T^dagger + I - T T^dagger.
-With dd = |d|^2, oo = |o|^2, c = d*conj(o) and fill = 1 - (dd + oo) that is
-
-    s11' = dd*s11 + oo*s22 + 2 Re(c*s12) + fill
-    s22' = oo*s11 + dd*s22 - 2 Re(conj(c)*s12) + fill
-    s12' = dd*s12 - oo*conj(s12) - c*s11 + conj(c)*s22 + (c - conj(c))
-
-The fill is added last, so vacuum (s11 = s22 = 1, s12 = 0) comes back as
-vacuum bit for bit.  The rotation is read off the output, lossy or not, as
-the angle of its squeezing ellipse, (1/2) atan2(2 Re s12', s11' - s22').
-Every function takes omega as a scalar or a 1-D array and works element-wise.
+Stages compose by multiplying their sideband pairs (Caves and Schumaker,
+PRA 31, 3068 (1985); Kimble et al., PRD 65, 022002 (2001) chain filter
+cavities this way), so ``chain.propagate`` multiplies each cavity's (a, b)
+into one pair.  The rotation is read off the output as the angle of its
+squeezing ellipse, (1/2) atan2(2 Re s12', s11' - s22').  Every function takes
+omega as a scalar or a 1-D array and works element-wise.
 """
 
 import math
 from dataclasses import dataclass
 
-from .quadcore import UnphysicalError, _unchecked
+from .quadcore import UnphysicalError, _apply_pair
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
@@ -130,22 +123,5 @@ def reflection(p, omega_hz):
 
 
 def apply_cavity(s, p, omega_hz):
-    """Reflect covariance s off the cavity at sideband omega_hz: T S T^dagger + I - T T^dagger.
-
-    The closed form of the module docstring, element by element; the vacuum
-    fill goes in last, so vacuum maps to vacuum bit for bit.
-    """
-    a = reflection(p, omega_hz)
-    b = reflection(p, -omega_hz).conjugate()  # a method, so the module needs no numpy
-    d = 0.5 * (a + b)
-    o = 0.5j * (a - b)
-    dd = d.real * d.real + d.imag * d.imag
-    oo = o.real * o.real + o.imag * o.imag
-    c = d * o.conjugate()
-    cc = c.conjugate()
-    fill = 1.0 - (dd + oo)
-    return _unchecked(
-        dd * s.s11 + oo * s.s22 + 2.0 * (c * s.s12).real + fill,
-        oo * s.s11 + dd * s.s22 - 2.0 * (cc * s.s12).real + fill,
-        dd * s.s12 - oo * s.s12.conjugate() - c * s.s11 + cc * s.s22 + (c - cc),
-    )
+    """Reflect covariance s off the cavity at omega_hz: T S T^dagger + I - T T^dagger."""
+    return _apply_pair(s, reflection(p, omega_hz), reflection(p, -omega_hz).conjugate())

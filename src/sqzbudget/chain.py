@@ -3,10 +3,11 @@
 A Scenario is a source followed by an ordered chain of stages, each either a
 plain efficiency (LossElement) or a detuned cavity (CavityStage), read out by
 a homodyne detector at a fixed quadrature angle; the source's escape is the
-first loss of :meth:`Scenario.chain`.  Each stage maps S to M S M^dagger +
-I - M M^dagger, with M = sqrt(eta)*I for a loss and the cavity's T = [[d, o],
-[-o, d]].  These M commute, so the order changes the spectrum only by rounding;
-it orders the budget's rows, the written [losses] and any per-stage split.
+first loss of :meth:`Scenario.chain`.  The stages compose into one sideband
+pair (Caves and Schumaker, PRA 31, 3068 (1985)), A = sqrt(prod eta) *
+prod r_c(+omega) on the upper sideband and B = sqrt(prod eta) *
+prod conj(r_c(-omega)) on the lower, which :func:`propagate` applies once; the
+stages' order orders only the budget's rows and the written [losses].
 """
 
 import math
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 from . import cavity as _cavity
 from .quadcore import (
+    _apply_pair,
     _require,
     apply_loss,
-    apply_loss_cov,
     check_efficiency,
     db_to_variance,
     variance_to_db,
@@ -128,6 +129,9 @@ class Scenario:
                 raise ValueError(f"stage {s.name!r} appears twice in the chain")
             names.add(s.name)
         object.__setattr__(self, "_chain", chain)
+        # the efficiency that propagate applies and build_budget totals
+        object.__setattr__(self, "_eta", math.prod(
+            s.eta for s in chain if isinstance(s, LossElement)))
 
     def cavity_stage(self, name):
         """The stage of this name, such as the cavity "filter_cavity" or "src", or None."""
@@ -148,29 +152,28 @@ def propagate(sc, omega_hz):
     Hz; the scenario's display grid does not bound it.  This is the one place
     that decides the model's range: each cavity with an FSR is a single
     Lorentzian only for omega + |detuning| < fsr/4 (one given by hwhm alone
-    has no bound).  The stages of ``sc.chain()``, escape first, fold over
-    all frequencies at once; a term that overflows counts as its exact limit
-    (the source far above its bandwidth is vacuum).  Out of range or a
-    non-finite result raises UnphysicalError naming the first bad frequency;
-    lost positivity is an internal error.
+    has no bound).  ``sc.chain()`` is one sideband pair (see the module
+    docstring), applied at all frequencies at once; a term that overflows
+    counts as its exact limit (the source far above its bandwidth is vacuum).
+    Out of range or a non-finite result raises UnphysicalError naming the
+    first bad frequency; lost positivity is an internal error.
     """
     import numpy as np
 
     _require(np.isfinite(omega_hz) & np.greater(omega_hz, 0.0), omega_hz,
              "omega_hz must be finite and > 0, got {!r}", ValueError)
-    for stage in sc.stages:
-        if isinstance(stage, CavityStage) and stage.params.fsr() is not None:
-            # omega + |detuning| < fsr/4, arranged so that no term overflows
-            bound = stage.params.fsr() / 4.0 - abs(stage.params.detuning_hz)
-            _require(np.less(omega_hz, bound), omega_hz,
-                     f"{stage.name}: {{!r}} Hz plus |detuning| is past fsr/4")
+    a = b = math.sqrt(sc._eta)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = generated_spectrum(sc.source, omega_hz)
-        for stage in sc.chain():
-            if isinstance(stage, LossElement):
-                s = apply_loss_cov(s, stage.eta)
-            else:
-                s = _cavity.apply_cavity(s, stage.params, omega_hz)
+        for stage in sc.stages:
+            if isinstance(stage, CavityStage):
+                p = stage.params
+                if p.fsr() is not None:
+                    # omega + |detuning| < fsr/4, arranged so that no term overflows
+                    _require(np.less(omega_hz, p.fsr() / 4.0 - abs(p.detuning_hz)), omega_hz,
+                             f"{stage.name}: {{!r}} Hz plus |detuning| is past fsr/4")
+                a = a * _cavity.reflection(p, omega_hz)
+                b = b * _cavity.reflection(p, -omega_hz).conjugate()
+        s = _apply_pair(generated_spectrum(sc.source, omega_hz), a, b)
         ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
         _require(ok, omega_hz, "propagated covariance is not finite at {!r} Hz")
         _require(s.is_positive_semidefinite(), omega_hz, "internal error: propagated "
@@ -254,7 +257,6 @@ def build_budget(sc):
     rows = [s for s in sc.chain() if isinstance(s, LossElement)]
     subtotals = [(cat, math.prod(r.eta for r in rows if r.category == cat))
                  for cat in CATEGORIES if any(r.category == cat for r in rows)]
-    total = math.prod(r.eta for r in rows)
     input_db = sc.source.generated_db_at_dc()
-    output_db = variance_to_db(apply_loss(db_to_variance(input_db), total))
-    return BudgetReport(sc.name, tuple(rows), tuple(subtotals), total, input_db, output_db)
+    output_db = variance_to_db(apply_loss(db_to_variance(input_db), sc._eta))
+    return BudgetReport(sc.name, tuple(rows), tuple(subtotals), sc._eta, input_db, output_db)

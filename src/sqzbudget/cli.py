@@ -1,8 +1,9 @@
 """Command-line interface: budget tables, spectrum CSVs, efficiency sweeps.
 
 Exit codes: 0 success, 2 parse or usage error (or a grid too large to allocate),
-3 physically invalid model; each non-zero exit, a usage error too, prints one
-``error:`` line on stderr.
+3 physically invalid model; each of these, a usage error too, prints one
+``error:`` line on stderr.  A stdout closed by its reader (``| head``) ends
+the command with exit 1 and no message.
 All frequencies on the command line and in output are MHz; dB values are
 printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)``
 may be called repeatedly in one process; the parser is built once, on first use.
@@ -15,6 +16,7 @@ grid CHUNK_POINTS rows at a time, and prints nothing until every chunk has passe
 
 import argparse
 import functools
+import os
 import sys
 
 from . import chain
@@ -131,6 +133,10 @@ def entry(argv=None, out=None):
     except UnphysicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader left; on devnull the exit flush cannot fail
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), out.fileno())
+        return 1
     except (ValueError, OSError, MemoryError) as exc:  # ScenarioParseError is a ValueError
         # a MemoryError that Python itself raises carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -11,13 +11,17 @@ negative.  A passive loss of power transmission ``eta`` mixes the field with
 vacuum on a beamsplitter and maps variances as ``v -> eta*v + (1 - eta)``.
 The scalar helpers (:func:`db_to_variance`, :func:`variance_to_db`,
 :func:`apply_loss`, :func:`check_efficiency`) take one number and use only
-:mod:`math`, so a loss budget or a sweep never imports numpy.  The array
-kernels (:class:`SpectralCovariance`, :func:`apply_loss_cov`) work element-wise
-on arrays over frequency and import numpy where they call it; a check that
-fails names the first offending element.  Covariances are checked by the
-:class:`SpectralCovariance` constructor, which ``generated_spectrum`` uses, and
-by ``chain.propagate``'s exit check; the linear stage folds between skip the
-checks, and a NaN or inf carries through to the exit.
+:mod:`math`, so a loss budget or a sweep never imports numpy.
+:class:`SpectralCovariance` works element-wise on arrays over frequency and
+imports numpy where it calls it; a check that fails names the first offending
+element.
+
+Every passive stage maps S to M S M^dagger + I - M M^dagger, M multiplying
+the upper sideband by a and the lower by b (both sqrt(eta) for a loss); two
+stages compose into the pair (a1*a2, b1*b2) (Caves and Schumaker, PRA 31,
+3068 (1985)).  Covariances are checked by the :class:`SpectralCovariance`
+constructor and by ``chain.propagate``'s exit check; the transfer between
+skips the checks, and a NaN or inf carries through to the exit.
 """
 
 import math
@@ -91,8 +95,8 @@ class SpectralCovariance:
     every method works element-wise.  Vacuum is the identity,
     ``SpectralCovariance(1.0, 1.0)``.  Pure squeezed vacuum has det = 1 and
     passive loss can only increase the determinant.  Values are checked when
-    built through this constructor; stage folds skip it (see the module
-    docstring).
+    built through this constructor; the sideband transfer skips it (see the
+    module docstring).
     """
 
     s11: float
@@ -120,18 +124,33 @@ class SpectralCovariance:
 
 
 def _unchecked(s11, s22, s12):
-    """A SpectralCovariance built without the constructor's checks, for the stage folds."""
+    """A SpectralCovariance built without the constructor's checks, for the sideband transfer."""
     s = object.__new__(SpectralCovariance)
     s.__dict__.update(s11=s11, s22=s22, s12=s12)
     return s
 
 
-def apply_loss_cov(s, eta):
-    """Beamsplitter loss on a covariance: eta*S + (1 - eta)*I.
+def _apply_pair(s, a, b):
+    """M S M^dagger + I - M M^dagger, M multiplying the sidebands by (a, b), |a|, |b| <= 1.
 
-    The diagonal agrees element-wise with :func:`apply_loss`; the off-diagonal
-    scales linearly.  Vacuum is an exact fixed point.
+    In the quadrature basis M = [[d, o], [-o, d]], d = (a + b)/2, o = i(a - b)/2.
+    With dd = |d|^2, oo = |o|^2, c = d*conj(o) and fill = 1 - (dd + oo):
+
+        s11' = dd*s11 + oo*s22 + 2 Re(c*s12) + fill
+        s22' = oo*s11 + dd*s22 - 2 Re(conj(c)*s12) + fill
+        s12' = dd*s12 - oo*conj(s12) - c*s11 + conj(c)*s22 + (c - conj(c))
+
+    element-wise; the fill goes in last, so vacuum maps to vacuum bit for bit.
     """
-    eta = check_efficiency(eta)
-    fill = 1.0 - eta
-    return _unchecked(eta * s.s11 + fill, eta * s.s22 + fill, eta * s.s12)
+    d = 0.5 * (a + b)
+    o = 0.5j * (a - b)
+    dd = d.real * d.real + d.imag * d.imag
+    oo = o.real * o.real + o.imag * o.imag
+    c = d * o.conjugate()  # methods, so the module needs no numpy
+    cc = c.conjugate()
+    fill = 1.0 - (dd + oo)
+    return _unchecked(
+        dd * s.s11 + oo * s.s22 + 2.0 * (c * s.s12).real + fill,
+        oo * s.s11 + dd * s.s22 - 2.0 * (cc * s.s12).real + fill,
+        dd * s.s12 - oo * s.s12.conjugate() - c * s.s11 + cc * s.s22 + (c - cc),
+    )

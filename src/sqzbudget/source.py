@@ -3,25 +3,24 @@
 Two source models are provided:
 
 ``physical``
-    Textbook below-threshold OPA.  The pump parameter x follows from the
-    measured classical power gain via G = 1/(1-x)^2, and the quadrature
-    variances at sideband frequency omega are
+    Textbook below-threshold OPA (Collett and Gardiner, PRA 30, 1386 (1984)).
+    The pump parameter x follows from the measured classical power gain via
+    G = 1/(1-x)^2, and with gamma the cavity half width (HWHM)
 
         V_minus(omega) = 1 - 4x / ((1+x)^2 + (omega/gamma)^2)
         V_plus(omega)  = 1 + 4x / ((1-x)^2 + (omega/gamma)^2)
 
-    with gamma the cavity half width (HWHM).  The state is pure: V-*V+ = 1
-    at every omega.
-
 ``direct``
     Calibrated to a stated generated squeezing depth at zero frequency.  The
     squeezing power 1 - V(omega) rolls off as a Lorentzian of half width
-    gamma, and the anti-squeezed quadrature is fixed by purity.  This mode
-    reproduces observed numbers when technical noise makes the textbook
-    model over-optimistic for a given classical gain.
+    gamma.  This mode reproduces observed numbers when technical noise makes
+    the textbook model over-optimistic for a given classical gain.
 
-Both return the pure, amplitude-quadrature-squeezed covariance diag(V-, V+).
-The escape is the first loss of ``Scenario.chain()``, which both
+Both states are pure, V- * V+ = 1, and the physical V- is the direct
+Lorentzian with v0 = ((1-x)/(1+x))^2 and half width gamma*(1+x).  So
+:class:`SourceParams` derives (v0, width) once, and :func:`generated_spectrum`
+returns diag(V-, 1/V-) with V- = 1 - (1 - v0)/(1 + (omega/width)^2).  The
+escape is the first loss of ``Scenario.chain()``, which both
 ``chain.propagate`` and ``chain.build_budget`` walk.
 """
 
@@ -81,20 +80,25 @@ class SourceParams:
         if self.mode == "direct":
             if self.gen_db_at_dc is None or not math.isfinite(self.gen_db_at_dc):
                 raise ValueError("direct mode needs a finite gen_db_at_dc")
+            v0, width = db_to_variance(self.gen_db_at_dc), self.bandwidth_hz
         else:
             if self.classical_gain is None:
                 raise ValueError("physical mode needs classical_gain")
-            if pump_parameter(self.classical_gain) >= PUMP_PARAMETER_LIMIT:
+            x = pump_parameter(self.classical_gain)
+            if x >= PUMP_PARAMETER_LIMIT:
                 raise UnphysicalError(
                     f"pump parameter >= {PUMP_PARAMETER_LIMIT} is treated as at threshold"
                 )
+            v0, width = ((1.0 - x) / (1.0 + x)) ** 2, self.bandwidth_hz * (1.0 + x)
+            if width == math.inf:
+                raise UnphysicalError(f"derived source width must be finite, got {width!r}")
         if self.escape_eta is None:
             eta = escape_efficiency(self.t_out, self.loss_rt)
         elif 0.0 <= self.escape_eta <= 1.0:
             eta = self.escape_eta
         else:
             raise UnphysicalError(f"escape_eta must lie in [0, 1], got {self.escape_eta!r}")
-        object.__setattr__(self, "_escape", eta)
+        self.__dict__.update(_escape=eta, _v0=v0, _width=width)  # frozen: no setattr
 
     def escape(self):
         """Escape efficiency, from escape_eta or the coupler/loss pair."""
@@ -103,23 +107,15 @@ class SourceParams:
     def generated_db_at_dc(self):
         """Squeezing depth generated inside the OPA at zero frequency, in dB."""
         if self.mode == "direct":
-            return self.gen_db_at_dc
-        x = pump_parameter(self.classical_gain)
-        return 20.0 * math.log10((1.0 + x) / (1.0 - x))
+            return self.gen_db_at_dc  # as stated: -10 log10(v0) may differ in the last bit
+        return -10.0 * math.log10(self._v0)
 
 
 def generated_spectrum(p, omega_hz):
     """The OPA's pure state, before escape, at sideband omega_hz (scalar or array)."""
     import numpy as np
 
-    u2 = np.square(omega_hz / p.bandwidth_hz)  # numpy even for a float: overflow obeys np.errstate
-    if p.mode == "physical":
-        x = pump_parameter(p.classical_gain)
-        vm = 1.0 - 4.0 * x / ((1.0 + x) ** 2 + u2)
-        vp = 1.0 + 4.0 * x / ((1.0 - x) ** 2 + u2)
-    else:
-        v0 = db_to_variance(p.gen_db_at_dc)
-        vm = 1.0 - (1.0 - v0) / (1.0 + u2)
-        _require(np.greater(vm, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
-        vp = 1.0 / vm
-    return SpectralCovariance(vm, vp)
+    u2 = np.square(omega_hz / p._width)  # numpy even for a float: overflow obeys np.errstate
+    vm = 1.0 - (1.0 - p._v0) / (1.0 + u2)
+    _require(np.greater(vm, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
+    return SpectralCovariance(vm, 1.0 / vm)

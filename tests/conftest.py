@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from sqzbudget.quadcore import SpectralCovariance
+from sqzbudget.quadcore import SpectralCovariance, _apply_pair
 from sqzbudget.scenario_io import parse_scenario
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -31,6 +31,12 @@ def squeezed_state(db, theta):
     c, s = math.cos(theta), math.sin(theta)
     return SpectralCovariance(c * c * v + s * s / v, s * s * v + c * c / v,
                               complex(c * s * (v - 1.0 / v)))
+
+
+def loss(s, eta):
+    """A beamsplitter loss on a covariance: both sidebands multiplied by sqrt(eta)."""
+    r = math.sqrt(eta)
+    return _apply_pair(s, r, r)
 
 
 def ellipse_angle(s):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget import chain, quadcore
-from sqzbudget.cavity import CavityParams
+from sqzbudget import cavity, chain
+from sqzbudget.cavity import CavityParams, apply_cavity
 from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
@@ -26,9 +26,9 @@ from sqzbudget.quadcore import (
     db_to_variance,
     variance_to_db,
 )
-from sqzbudget.source import SourceParams
+from sqzbudget.source import SourceParams, generated_spectrum
 
-from conftest import matrix
+from conftest import loss, matrix
 
 MHZ = 1e6
 
@@ -180,46 +180,54 @@ def test_propagate_names_first_unphysical_frequency(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_propagate_refuses_a_non_finite_stage(bad, monkeypatch):
-    # the first loss stage, the escape, yields a non-finite s11 at 7 MHz; the unchecked
-    # folds after it carry that to propagate's exit check, which refuses it as out of range
-    real = chain.apply_loss_cov
-    calls = []
+    # a cavity whose reflection is non-finite at 7 MHz; the unchecked transfer carries
+    # that to propagate's exit check, which refuses it as out of range
+    real = cavity.reflection
+    signs = []
 
-    def broken(s, eta):
-        out = real(s, eta)
-        calls.append(eta)
-        if len(calls) > 1:
-            return out
-        s11 = np.array(out.s11, dtype=float)
-        s11[1] = bad
-        return quadcore._unchecked(s11, out.s22, out.s12)
+    def broken(p, omega_hz):
+        signs.append(np.sign(omega_hz[0]))
+        r = real(p, omega_hz)
+        r[1] = bad
+        return r
 
-    monkeypatch.setattr(chain, "apply_loss_cov", broken)
+    monkeypatch.setattr(cavity, "reflection", broken)
+    src = CavityStage("src", CavityParams(t_in=0.1, detuning_hz=5 * MHZ, hwhm_hz=2 * MHZ))
     with pytest.raises(UnphysicalError, match="not finite at 7000000.0 Hz"):
-        propagate(_bare_scenario(stages=_elements([0.9, 0.8])), np.array([1.0, 7.0, 9.0]) * MHZ)
-    assert calls == [1.0, 0.9, 0.8]
+        propagate(_bare_scenario(stages=(*_elements([0.9, 0.8]), src)),
+                  np.array([1.0, 7.0, 9.0]) * MHZ)
+    assert signs == [1.0, -1.0]  # both sidebands, once each
 
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600", "physical"])
 def test_propagate_and_budget_walk_one_chain(name, request, monkeypatch):
-    # the escape is a stage like any other: propagate folds the budget's rows, in order
+    # the escape is a stage like any other: the one transfer propagate applies carries
+    # the budget's total efficiency, times each cavity's sideband factors
     if name == "physical":  # its escape is set by the coupler/loss pair
         source = SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=20 * MHZ,
                               t_out=0.1, loss_rt=0.01)
         sc = dataclasses.replace(request.getfixturevalue("tabletop"), source=source)
     else:
         sc = request.getfixturevalue(name)
-    real = chain.apply_loss_cov
-    etas = []
+    real = chain._apply_pair
+    pairs = []
 
-    def recording(s, eta):
-        etas.append(eta)
-        return real(s, eta)
+    def recording(s, a, b):
+        pairs.append((a, b))
+        return real(s, a, b)
 
-    monkeypatch.setattr(chain, "apply_loss_cov", recording)
-    propagate(sc, np.array([5.0, 10.0]) * MHZ)
+    monkeypatch.setattr(chain, "_apply_pair", recording)
+    freqs = np.array([5.0, 10.0]) * MHZ
+    propagate(sc, freqs)
+    [(a, b)] = pairs
+    a_want = b_want = math.sqrt(build_budget(sc).total)
+    for stage in sc.stages:
+        if isinstance(stage, CavityStage):
+            a_want = a_want * cavity.reflection(stage.params, freqs)
+            b_want = b_want * cavity.reflection(stage.params, -freqs).conjugate()
+    np.testing.assert_allclose(a, a_want, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(b, b_want, rtol=1e-15, atol=0)
     rows = build_budget(sc).rows
-    assert etas == [r.eta for r in rows]
     assert rows == tuple(s for s in sc.chain() if isinstance(s, LossElement))
     assert rows[0] == LossElement("escape", sc.source.escape(), "escape")
     assert sc.chain()[1:] == sc.stages
@@ -281,7 +289,16 @@ def test_frequency_independent_stages_commute(tabletop):
     for _ in range(3):
         rng.shuffle(stages)
         same_spectrum(tabletop, stages)
-    for mode in ("direct", "physical", "direct", "physical"):  # seeded two-cavity chains
+    for sc in _two_cavity_chains(rng):
+        stages = list(sc.stages)
+        same_spectrum(sc, reversed(stages))
+        rng.shuffle(stages)
+        same_spectrum(sc, stages)
+
+
+def _two_cavity_chains(rng):
+    """Seeded chains with both cavities and up to four losses, two in each source mode."""
+    for mode in ("direct", "physical", "direct", "physical"):
         source = SourceParams(mode=mode, bandwidth_hz=rng.uniform(3.0, 60.0) * MHZ,
                               gen_db_at_dc=rng.uniform(1.0, 15.0),
                               classical_gain=rng.uniform(1.5, 40.0),
@@ -291,12 +308,24 @@ def test_frequency_independent_stages_commute(tabletop):
             detuning_hz=rng.uniform(-12.0, 12.0) * MHZ, hwhm_hz=rng.uniform(0.3, 5.0) * MHZ))
             for name in chain.CAVITY_ROLES]
         losses = [LossElement(f"l{k}", rng.uniform(0.85, 0.999)) for k in range(rng.randint(0, 4))]
-        sc = Scenario("two", source, (*cavities, *losses), rng.uniform(-0.4, 0.4),
-                      FrequencyGrid(0.1 * MHZ, 25 * MHZ, 41))
-        stages = list(sc.stages)
-        same_spectrum(sc, reversed(stages))
-        rng.shuffle(stages)
-        same_spectrum(sc, stages)
+        yield Scenario("two", source, (*cavities, *losses), rng.uniform(-0.4, 0.4),
+                       FrequencyGrid(0.1 * MHZ, 25 * MHZ, 41))
+
+
+def test_propagate_matches_the_per_stage_fold(tabletop, geo600, vacuum_scenario):
+    # the one transfer against each stage's transfer applied in turn, escape first
+    def folded_db(sc, freqs):
+        s = generated_spectrum(sc.source, freqs)
+        for stage in sc.chain():
+            if isinstance(stage, LossElement):
+                s = loss(s, stage.eta)
+            else:
+                s = apply_cavity(s, stage.params, freqs)
+        return -10.0 * np.log10(homodyne_readout(s, sc.homodyne_angle))
+
+    for sc in (tabletop, geo600, vacuum_scenario, *_two_cavity_chains(random.Random("fold"))):
+        freqs = sc.grid.frequencies()
+        assert np.max(np.abs(chain.noise_db(sc, freqs) - folded_db(sc, freqs))) <= 1e-12
 
 
 @given(st.lists(st.floats(min_value=0.3, max_value=1.0), min_size=0, max_size=6),

@@ -75,13 +75,18 @@ def test_refused_chunk_after_a_good_one_prints_nothing(capsys):
         "error: filter_cavity: 20977195.439087816 Hz plus |detuning| is past fsr/4")
 
 
-def _run_module(argv):
-    """A fresh ``python -W error -m sqzbudget`` process, as a user starts it."""
+def _module_command(argv):
+    """Command line and environment of ``python -W error -m sqzbudget``, as a user starts it."""
     src = str(pathlib.Path(sqzbudget.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-W", "error", "-m", "sqzbudget", *argv],
-                          capture_output=True, env=env, timeout=60)
+    return [sys.executable, "-W", "error", "-m", "sqzbudget", *argv], env
+
+
+def _run_module(argv):
+    """A fresh ``python -W error -m sqzbudget`` process, run to its end."""
+    command, env = _module_command(argv)
+    return subprocess.run(command, capture_output=True, env=env, timeout=60)
 
 
 @pytest.mark.parametrize("argv,golden", [
@@ -94,6 +99,19 @@ def test_module_entry_point_matches_golden(argv, golden, golden_dir):
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout == (golden_dir / golden).read_bytes()
+
+
+def test_closed_stdout_exits_1_without_a_message():
+    # `sqzbudget sweep ... | head -1`: the reader closes the pipe after one line, while
+    # ~0.4 MB of rows, far more than a pipe holds, are still to be written (a numpy-free
+    # command, so the process starts fast; every command writes through the same entry)
+    command, env = _module_command(["sweep", "--input-db", "10", "--points", "20000"])
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"eta,observed_db\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 @pytest.mark.parametrize("input_db", ["5.7", "10", "13"])

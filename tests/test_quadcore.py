@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -10,17 +11,20 @@ from sqzbudget.cavity import CavityParams, apply_cavity
 from sqzbudget.quadcore import (
     SpectralCovariance,
     UnphysicalError,
+    _apply_pair,
     apply_loss,
-    apply_loss_cov,
     db_to_variance,
     variance_to_db,
 )
 
-from conftest import matrix, squeezed_state
+from conftest import loss, matrix, squeezed_state
 
 etas = st.floats(min_value=0.0, max_value=1.0)
 dbs = st.floats(min_value=-20.0, max_value=20.0)
 variances = st.floats(min_value=1e-3, max_value=1e3)
+# a sideband factor: modulus at most 1, any phase
+factors = st.builds(cmath.rect, st.floats(min_value=0.0, max_value=1.0),
+                    st.floats(min_value=-math.pi, max_value=math.pi))
 
 
 def test_db_conventions():
@@ -101,17 +105,17 @@ def test_covariance_rejects_bad_values():
         SpectralCovariance(np.ones(3), np.array([1.0, float("inf"), -1.0]))
 
 
-def test_apply_loss_cov_matches_scalar_on_diagonal():
+def test_loss_pair_matches_scalar_on_diagonal():
     s = SpectralCovariance(0.1, 10.0)
-    out = apply_loss_cov(s, 0.65)
+    out = loss(s, 0.65)
     assert out.s11 == pytest.approx(apply_loss(0.1, 0.65), rel=1e-14)
     assert out.s22 == pytest.approx(apply_loss(10.0, 0.65), rel=1e-14)
     assert out.s12 == 0j
 
 
-def test_stage_folds_build_frozen_covariances():
+def test_sideband_transfer_builds_frozen_covariances():
     s = SpectralCovariance(0.1, 10.0, 0.5 - 0.25j)
-    lossy = apply_loss_cov(s, 0.65)
+    lossy = loss(s, 0.65)
     turned = apply_cavity(s, CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=1e7,
                                           length_m=1.21), 8e6)
     for out in (lossy, turned):
@@ -119,14 +123,16 @@ def test_stage_folds_build_frozen_covariances():
         with pytest.raises(dataclasses.FrozenInstanceError):
             out.s11 = 1.0
         assert out == SpectralCovariance(out.s11, out.s22, out.s12)
-    assert lossy == SpectralCovariance(0.65 * 0.1 + 0.35, 0.65 * 10.0 + 0.35,
-                                       0.65 * (0.5 - 0.25j))
+    # sqrt(eta)^2 need not be eta to the last bit
+    assert lossy.s11 == pytest.approx(0.65 * 0.1 + 0.35, rel=1e-15)
+    assert lossy.s22 == pytest.approx(0.65 * 10.0 + 0.35, rel=1e-15)
+    assert lossy.s12 == pytest.approx(0.65 * (0.5 - 0.25j), rel=1e-15)
 
 
 def test_vacuum_is_exact_fixed_point():
     vac = SpectralCovariance(1.0, 1.0)
     for eta in (0.0, 0.123, 0.5, 0.93, 1.0):
-        assert apply_loss_cov(vac, eta) == vac
+        assert loss(vac, eta) == vac
 
 
 @given(st.floats(min_value=0.0, max_value=15.0),
@@ -134,7 +140,7 @@ def test_vacuum_is_exact_fixed_point():
        etas)
 def test_loss_keeps_states_physical(db, theta, eta):
     s = squeezed_state(db, theta)
-    out = apply_loss_cov(s, eta)
+    out = loss(s, eta)
     assert out.is_positive_semidefinite()
     # passive loss cannot purify: det >= 1 is preserved
     assert out.det() >= s.det() - 1e-9
@@ -144,8 +150,21 @@ def test_loss_keeps_states_physical(db, theta, eta):
 @given(st.floats(min_value=0.0, max_value=15.0), etas)
 def test_loss_cov_commutes_with_composition(db, eta):
     s = squeezed_state(db, 0.3)
-    one = apply_loss_cov(apply_loss_cov(s, eta), 0.7)
-    two = apply_loss_cov(s, 0.7 * eta)
+    one = loss(loss(s, eta), 0.7)
+    two = loss(s, 0.7 * eta)
+    assert one.s11 == pytest.approx(two.s11, abs=1e-12)
+    assert one.s22 == pytest.approx(two.s22, abs=1e-12)
+    assert abs(one.s12 - two.s12) < 1e-12
+
+
+@given(st.floats(min_value=0.0, max_value=15.0),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       factors, factors, factors, factors)
+def test_sideband_pairs_compose(db, theta, a1, b1, a2, b2):
+    # the rule that lets a chain be one transfer: (a1, b1) then (a2, b2) is (a1*a2, b1*b2)
+    s = squeezed_state(db, theta)
+    one = _apply_pair(_apply_pair(s, a1, b1), a2, b2)
+    two = _apply_pair(s, a1 * a2, b1 * b2)
     assert one.s11 == pytest.approx(two.s11, abs=1e-12)
     assert one.s22 == pytest.approx(two.s22, abs=1e-12)
     assert abs(one.s12 - two.s12) < 1e-12

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sqzbudget.quadcore import (
     UnphysicalError,
     apply_loss,
-    apply_loss_cov,
     db_to_variance,
     variance_to_db,
 )
@@ -17,6 +16,8 @@ from sqzbudget.source import (
     generated_spectrum,
     pump_parameter,
 )
+
+from conftest import loss
 
 MHZ = 1e6
 
@@ -50,6 +51,9 @@ def test_source_params_validation():
         SourceParams(mode="direct", gen_db_at_dc=3.0, bandwidth_hz=20 * MHZ)
     with pytest.raises(ValueError):
         SourceParams(mode="physical", bandwidth_hz=20 * MHZ, escape_eta=1.0)
+    # gamma*(1 + x), the physical Lorentzian's half width, past float range
+    with pytest.raises(UnphysicalError, match="derived source width must be finite, got inf"):
+        SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=1.5e308, escape_eta=1.0)
     # pump parameter 0.99 needs classical gain 1e4
     with pytest.raises(UnphysicalError):
         SourceParams(mode="physical", classical_gain=1e4, bandwidth_hz=20 * MHZ,
@@ -88,6 +92,11 @@ def test_physical_mode_pure_before_escape(x, omega_mhz, eta):
                      escape_eta=eta)
     s = generated_spectrum(p, omega_mhz * MHZ)
     assert s.s11 * s.s22 == pytest.approx(1.0, rel=1e-10)
+    # the one Lorentzian formula is the textbook below-threshold spectrum,
+    # V-+ = 1 -+ 4x/((1 +- x)^2 + (omega/gamma)^2)
+    x, u2 = pump_parameter(gain), (omega_mhz / 20.0) ** 2
+    assert s.s11 == pytest.approx(1.0 - 4.0 * x / ((1.0 + x) ** 2 + u2), rel=1e-12)
+    assert s.s22 == pytest.approx(1.0 + 4.0 * x / ((1.0 - x) ** 2 + u2), rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=0.9),
@@ -98,7 +107,7 @@ def test_physical_mode_never_purer_than_pure(x, omega_mhz, eta):
     gain = 1.0 / (1.0 - x) ** 2
     p = SourceParams(mode="physical", classical_gain=gain, bandwidth_hz=20 * MHZ,
                      escape_eta=eta)
-    s = apply_loss_cov(generated_spectrum(p, omega_mhz * MHZ), p.escape())
+    s = loss(generated_spectrum(p, omega_mhz * MHZ), p.escape())
     assert s.s11 * s.s22 >= 1.0 - 1e-10
     assert s.s11 > 0.0
 
@@ -111,7 +120,7 @@ def test_direct_mode_dc_value():
     assert s.s11 == pytest.approx(0.2691534803926916, rel=1e-13)
     assert s.s11 == pytest.approx(db_to_variance(5.7), rel=1e-15)
     # the escape, the first stage of the chain, gives the depth leaving the OPA
-    out = apply_loss_cov(s, p.escape()).s11
+    out = loss(s, p.escape()).s11
     assert out == pytest.approx(0.34223813235342241, rel=1e-13)
     assert out == pytest.approx(apply_loss(db_to_variance(5.7), 0.9), rel=1e-14)
 
