@@ -6,12 +6,11 @@ Exit codes: 0 success, 2 parse or usage error (or a grid too large to allocate),
 the command with exit 1 and no message.
 All frequencies on the command line and in output are MHz; dB values are
 printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)``
-may be called repeatedly in one process; the parser is built once, on first use.
+may be called repeatedly; the parser is built once, and each call finds its command by name.
 
 ``budget`` and ``sweep`` are scalar arithmetic on floats and never import
-numpy; ``spectrum`` imports :mod:`sqzbudget.interferometer`, and with it
-numpy and the array kernels, only when it runs; it computes and formats the
-grid CHUNK_POINTS rows at a time, and prints nothing until every chunk has passed.
+numpy; ``spectrum`` computes and formats the grid CHUNK_POINTS rows at a
+time, and prints nothing until every chunk has passed.
 """
 
 import argparse
@@ -19,7 +18,7 @@ import functools
 import os
 import sys
 
-from . import chain
+from . import chain, interferometer
 from .quadcore import UnphysicalError
 from .scenario_io import load_scenario
 
@@ -64,8 +63,6 @@ def cmd_budget(args, out):
 
 
 def cmd_spectrum(args, out):
-    from . import interferometer
-
     sc = load_scenario(args.scenario)
     freqs = chain.FrequencyGrid(
         fmin_hz=(args.fmin_mhz * 1e6 if args.fmin_mhz is not None else sc.grid.fmin_hz),
@@ -106,21 +103,18 @@ def build_parser():
 
     p_budget = sub.add_parser("budget", help="print the loss budget of a scenario file")
     p_budget.add_argument("scenario", help="scenario file (.scn)")
-    p_budget.set_defaults(func=cmd_budget)
 
     p_spec = sub.add_parser("spectrum", help="print noise/signal/SNR spectra as CSV")
     p_spec.add_argument("scenario", help="scenario file (.scn)")
     p_spec.add_argument("--fmin-mhz", type=float, default=None)
     p_spec.add_argument("--fmax-mhz", type=float, default=None)
     p_spec.add_argument("--points", type=int, default=None)
-    p_spec.set_defaults(func=cmd_spectrum)
 
     p_sweep = sub.add_parser("sweep", help="observed squeezing versus detection efficiency")
     p_sweep.add_argument("--input-db", type=float, required=True)
     p_sweep.add_argument("--eta-min", type=float, default=0.5)
     p_sweep.add_argument("--eta-max", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=51)
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -129,7 +123,8 @@ def entry(argv=None, out=None):
     out = out if out is not None else sys.stdout
     try:
         args = build_parser().parse_args(argv)  # subparsers inherit _Parser
-        return args.func(args, out)
+        command = {"budget": cmd_budget, "spectrum": cmd_spectrum, "sweep": cmd_sweep}
+        return command[args.command](args, out)
     except UnphysicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,8 +14,6 @@ second, pump-off run.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import chain as _chain
 from .quadcore import _require
 
@@ -40,9 +38,9 @@ class NoiseSpectrum:
     signal_db is the normalized signal gain (0 dB at the peak).
     """
 
-    frequency_hz: np.ndarray
-    noise_db: np.ndarray
-    signal_db: np.ndarray
+    frequency_hz: "np.ndarray"  # quoted: the module loads without numpy
+    noise_db: "np.ndarray"
+    signal_db: "np.ndarray"
 
     @property
     def snr_improvement_db(self):
@@ -62,6 +60,8 @@ def snr_spectrum(sc, frequencies):
     suppression.  :func:`sqzbudget.chain.propagate` decides the frequency
     range; a signal column that leaves float range is refused like the noise.
     """
+    import numpy as np
+
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     noise = _chain.noise_db(sc, freqs)
     stage = sc.cavity_stage("src")

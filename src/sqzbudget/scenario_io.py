@@ -51,7 +51,7 @@ import pathlib
 
 from .cavity import CavityParams
 from .chain import CATEGORIES, CAVITY_ROLES, CavityStage, FrequencyGrid, LossElement, Scenario
-from .source import SourceParams
+from .source import SourceParams, _UnreadField
 
 _MARKER = "@cavity"
 
@@ -203,7 +203,10 @@ def parse_scenario(text, name="scenario"):
     sections = _split_sections(text.removeprefix("\ufeff"))
     if "source" not in sections:
         raise ScenarioParseError("missing required section [source]")
-    source = SourceParams(**_read_section("source", sections))
+    try:
+        source = SourceParams(**_read_section("source", sections))
+    except _UnreadField as exc:  # refused at the key's line
+        raise ScenarioParseError(str(exc), sections["source"][1][exc.field][1]) from None
     cavities = {name: CavityParams(**_read_section(name, sections))
                 for name in CAVITY_ROLES if name in sections}
     stages = _build_losses(sections, cavities)

@@ -27,9 +27,22 @@ escape is the first loss of ``Scenario.chain()``, which both
 import math
 from dataclasses import dataclass
 
-from .quadcore import SpectralCovariance, UnphysicalError, _require, db_to_variance
+from .quadcore import (SpectralCovariance, UnphysicalError, _require, check_efficiency,
+                       db_to_variance)
 
 PUMP_PARAMETER_LIMIT = 0.99  # V_plus diverges as x -> 1
+
+# the form of the source that reads each optional field: a mode, or the escape's pair
+_READ_BY = {"gen_db_at_dc": "direct", "classical_gain": "physical",
+            "t_out": "t_out and loss_rt", "loss_rt": "t_out and loss_rt"}
+
+
+class _UnreadField(ValueError):
+    """A field given to a source whose form does not read it; ``field`` is its name."""
+
+    def __init__(self, field, mode, escape):
+        self.field = field
+        super().__init__(f"{field} is not read by a {mode} source with {escape}")
 
 
 def escape_efficiency(t_out, loss_rt):
@@ -55,10 +68,10 @@ def pump_parameter(classical_gain):
 class SourceParams:
     """OPA description: squeezing strength, escape, and bandwidth.
 
-    mode is "direct" or "physical".  The escape efficiency may be given
-    directly (``escape_eta``) or via the coupler/loss pair
-    (``t_out``, ``loss_rt``); either is validated once, when the params
-    are built.  ``bandwidth_hz`` is the OPA cavity HWHM.
+    mode is "direct" or "physical".  The escape efficiency may be given directly
+    (``escape_eta``) or via the coupler/loss pair (``t_out``, ``loss_rt``); either is
+    validated once, when the params are built.  ``bandwidth_hz`` is the OPA cavity HWHM.
+    A field that the mode or the escape's form does not read is refused.
     """
 
     mode: str
@@ -72,6 +85,10 @@ class SourceParams:
     def __post_init__(self):
         if self.mode not in ("direct", "physical"):
             raise ValueError(f'source mode must be "direct" or "physical", got {self.mode!r}')
+        escape = "escape_eta" if self.escape_eta is not None else "t_out and loss_rt"
+        for name, form in _READ_BY.items():
+            if form not in (self.mode, escape) and getattr(self, name) is not None:
+                raise _UnreadField(name, self.mode, escape)
         if not 0.0 < self.bandwidth_hz < math.inf:
             raise UnphysicalError(
                 f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz!r}")
@@ -92,12 +109,8 @@ class SourceParams:
             v0, width = ((1.0 - x) / (1.0 + x)) ** 2, self.bandwidth_hz * (1.0 + x)
             if width == math.inf:
                 raise UnphysicalError(f"derived source width must be finite, got {width!r}")
-        if self.escape_eta is None:
-            eta = escape_efficiency(self.t_out, self.loss_rt)
-        elif 0.0 <= self.escape_eta <= 1.0:
-            eta = self.escape_eta
-        else:
-            raise UnphysicalError(f"escape_eta must lie in [0, 1], got {self.escape_eta!r}")
+        eta = (escape_efficiency(self.t_out, self.loss_rt) if self.escape_eta is None
+               else check_efficiency(self.escape_eta, "escape_eta"))
         self.__dict__.update(_escape=eta, _v0=v0, _width=width)  # frozen: no setattr
 
     def escape(self):

@@ -299,9 +299,10 @@ def test_frequency_independent_stages_commute(tabletop):
 def _two_cavity_chains(rng):
     """Seeded chains with both cavities and up to four losses, two in each source mode."""
     for mode in ("direct", "physical", "direct", "physical"):
-        source = SourceParams(mode=mode, bandwidth_hz=rng.uniform(3.0, 60.0) * MHZ,
-                              gen_db_at_dc=rng.uniform(1.0, 15.0),
-                              classical_gain=rng.uniform(1.5, 40.0),
+        bandwidth_hz = rng.uniform(3.0, 60.0) * MHZ
+        db, gain = rng.uniform(1.0, 15.0), rng.uniform(1.5, 40.0)  # both drawn: same seeded chains
+        strength = {"gen_db_at_dc": db} if mode == "direct" else {"classical_gain": gain}
+        source = SourceParams(mode=mode, bandwidth_hz=bandwidth_hz, **strength,
                               escape_eta=rng.uniform(0.6, 1.0))
         cavities = [CavityStage(name, CavityParams(
             t_in=rng.uniform(0.02, 0.2), loss_rt=rng.uniform(0.0, 0.005),

@@ -253,6 +253,18 @@ def test_invalid_escape_exits_3(escape, message, tmp_path, capsys):
         assert _only_error_line(capsys) == message
 
 
+def test_unread_source_key_exits_2(tmp_path, capsys):
+    # a key that the source's form would not read is no silent number
+    text = pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8")
+    scn = tmp_path / "tabletop.scn"
+    scn.write_text(text.replace("escape_eta = 0.9\n", "escape_eta = 0.9\nclassical_gain = 1e9\n"),
+                   encoding="utf-8")
+    for command in ("budget", "spectrum"):
+        assert run([command, str(scn)]) == (2, "")
+        assert _only_error_line(capsys) == (
+            "error: line 11: classical_gain is not read by a direct source with escape_eta")
+
+
 @pytest.mark.parametrize("fmax", ["200", "1e300"])
 def test_band_past_quarter_fsr_exits_3(fmax, capsys):
     # the 1.21 m tabletop cavities, 10 MHz detuned, hold up to ~21 MHz; past
@@ -486,3 +498,13 @@ def test_shared_parser_is_safe_to_reuse(golden_dir, capsys):
     code, text = run(["spectrum", bundled_scenario_path("tabletop")])
     assert code == 0
     assert text == (golden_dir / "tabletop_spectrum.csv").read_text(encoding="utf-8")
+
+
+def test_entry_runs_the_command_bound_when_it_is_called(monkeypatch):
+    # the cached parser keeps no command function, so a command patched (or
+    # wrapped by a tracer) after the parser is built is the one that runs
+    build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_budget", lambda args, out: calls.append(args.scenario) or 0)
+    assert run(["budget", "some.scn"]) == (0, "")
+    assert calls == ["some.scn"]

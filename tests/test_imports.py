@@ -1,11 +1,12 @@
 """Every imported name is used in the file that imports it, every
-module-level private name of the package is read by some package module, and
-every public name is read by some code that is not a test.
+module-level private name of the package is read by some package module,
+every public name is read by some code that is not a test, and no package
+module imports numpy when it loads.
 
 No linter is a dependency, so this is a small stdlib ``ast`` scan over the
-package, the tests and the scripts.  The package ``__init__.py`` imports its
-public names lazily, so it imports nothing that it does not read and is
-scanned like any other file.
+package, the tests and the scripts.  A name that a module lists in
+``__all__`` counts as read, so the package ``__init__.py``'s re-exports are
+scanned like any other import.
 """
 
 import ast
@@ -24,21 +25,31 @@ FILES = sorted(
 PACKAGE = sorted((ROOT / "src/sqzbudget").glob("*.py"))
 
 
+def exported(tree):
+    """The names a module lists in a literal ``__all__``."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def unused_imports(tree):
-    """(line, name) of each imported name that is never read in the module."""
+    """(line, name) of each imported name that is neither read nor listed in ``__all__``."""
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [(node.lineno, a.asname or a.name.partition(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     return [(line, name) for line, name in imported if name not in used]
 
 
 def test_scan_finds_an_unused_import():
     tree = ast.parse("import math\nimport os.path\nfrom json import dumps as d\nos.sep\n")
     assert unused_imports(tree) == [(1, "math"), (3, "d")]
+    # a re-export listed in __all__ counts as read
+    tree = ast.parse("from json import dumps, loads\n__all__ = ['dumps']\n")
+    assert unused_imports(tree) == [(1, "loads")]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -108,3 +119,38 @@ def test_every_public_name_has_a_non_test_reader():
     read = set().union(*(names_read_outside_own_definition(ast.parse(
         path.read_text(encoding="utf-8"))) for path in paths))
     assert sorted(set(sqzbudget.__all__) - read) == []
+
+
+def load_time_imports(tree, module):
+    """(line, statement) of each import of module that runs when the file loads.
+
+    Function bodies run later and are skipped; class bodies and compound
+    statements at module level run on load and are scanned.
+    """
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (isinstance(node, ast.Import) and any(
+                a.name.partition(".")[0] == module for a in node.names)) or (
+                isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").partition(".")[0] == module):
+            found.append((node.lineno, ast.unparse(node)))
+        todo += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_scan_finds_a_load_time_import():
+    tree = ast.parse("import numpy.linalg\ntry:\n    from numpy import pi\nexcept ImportError:\n"
+                     "    pass\nclass C:\n    import numpy as np\ndef f():\n    import numpy\n"
+                     "import numpyish\nfrom . import numpy\n")
+    assert load_time_imports(tree, "numpy") == [
+        (1, "import numpy.linalg"), (3, "from numpy import pi"), (7, "import numpy as np")]
+
+
+def test_no_package_module_imports_numpy_when_it_loads():
+    # numpy loads only inside the array functions, so budget and sweep start without it
+    found = {path.name: load_time_imports(ast.parse(path.read_text(encoding="utf-8")), "numpy")
+             for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}

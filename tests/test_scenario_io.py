@@ -27,6 +27,19 @@ MINIMAL = textwrap.dedent("""\
     escape_eta = 0.9
     """)
 
+# a source of each mode, with escape_eta, and fields that such a source does not read
+SOURCE_FORMS = {
+    "direct": dict(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ, escape_eta=0.9),
+    "physical": dict(mode="physical", classical_gain=5.0, bandwidth_hz=20 * MHZ, escape_eta=0.9),
+}
+UNREAD_SOURCE_FIELDS = [
+    ("direct", {"classical_gain": 1e9}),
+    ("physical", {"gen_db_at_dc": 5.7}),
+    ("direct", {"t_out": 0.5}),
+    ("direct", {"loss_rt": 0.9}),
+    ("physical", {"t_out": 0.5, "loss_rt": 0.9}),
+]
+
 
 def test_readme_example_is_the_tabletop_scenario(tabletop):
     # the ini block under "Scenario files" parses, and says what tabletop.scn says
@@ -176,11 +189,15 @@ def test_round_trip_is_identity(sc):
                                        escape_eta=0.9), homodyne_angle=math.nan),
     lambda: Scenario("s", SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
                                        escape_eta=0.9), homodyne_angle=math.inf),
+    *[lambda unread=unread: SourceParams(**{**SOURCE_FORMS[unread[0]], **unread[1]})
+      for unread in UNREAD_SOURCE_FIELDS],
     *[lambda name=name: LossElement(name, 0.9) for name in (
         "", "a=b", "a\nb", "a\rb", "a\u2028b", "#x", "[x", " pad", "pad ", "pad\n",
         "filter_cavity", "src")],
 ], ids=["bandwidth-inf", "bandwidth-nan", "detuning-nan", "detuning-inf", "length-inf",
-        "hwhm-nan", "derived-rates-inf", "derived-hwhm-zero", "angle-nan", "angle-inf", "name-empty", "name-equals", "name-newline",
+        "hwhm-nan", "derived-rates-inf", "derived-hwhm-zero", "angle-nan", "angle-inf",
+        *[f"{form}-with-{'-'.join(fields)}" for form, fields in UNREAD_SOURCE_FIELDS],
+        "name-empty", "name-equals", "name-newline",
         "name-return", "name-line-separator", "name-comment", "name-bracket",
         "name-leading-space", "name-trailing-space", "name-trailing-newline",
         "name-filter-cavity", "name-src"])
@@ -213,6 +230,21 @@ def test_unknown_key_line_number():
     err = _err(MINIMAL + "\n[grid]\nfmin_mhz = 5\nfoo = 3\n")
     assert err.line == 9
     assert "foo" in str(err)
+
+
+@pytest.mark.parametrize("edit,line,message", [
+    (("mode = direct\n", "mode = direct\nclassical_gain = 1e9\n"), 3,
+     "classical_gain is not read by a direct source with escape_eta"),
+    (("mode = direct\n", "mode = physical\nclassical_gain = 5\n"), 4,
+     "gen_db_at_dc is not read by a physical source with escape_eta"),
+    (("escape_eta = 0.9\n", "escape_eta = 0.9\nt_out = 0.5\nloss_rt = 0.9\n"), 6,
+     "t_out is not read by a direct source with escape_eta"),
+    (("escape_eta = 0.9\n", "loss_rt = 0.9\nescape_eta = 0.9\n"), 5,
+     "loss_rt is not read by a direct source with escape_eta"),
+], ids=["direct-gain", "physical-depth", "escape-pair", "escape-loss"])
+def test_unread_source_key_is_refused_at_its_line(edit, line, message):
+    err = _err(MINIMAL.replace(*edit))
+    assert (err.line, str(err)) == (line, f"line {line}: {message}")
 
 
 def test_duplicate_key_rejected():

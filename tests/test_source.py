@@ -176,10 +176,13 @@ def test_vacuum_source_emits_identity():
 
 
 def test_escape_eta_override_is_validated():
-    with pytest.raises(UnphysicalError, match="escape_eta must lie in"):
+    with pytest.raises(UnphysicalError, match=r"escape_eta must lie in \[0, 1\], got 1.3"):
         SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
                      escape_eta=1.3)
-    # the override wins, so the pair beside it is not consulted
-    p = SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
+    # the one efficiency rule: an int given through the API prints as a float
+    with pytest.raises(UnphysicalError, match=r"got 2.0$"):
+        SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ, escape_eta=2)
+    # escape_eta gives the escape, so the pair beside it would not be read: refused
+    with pytest.raises(ValueError, match="t_out is not read by a direct source with escape_eta"):
+        SourceParams(mode="direct", gen_db_at_dc=5.7, bandwidth_hz=20 * MHZ,
                      escape_eta=0.9, t_out=0.0, loss_rt=0.01)
-    assert p.escape() == 0.9
