@@ -34,7 +34,7 @@ omega as a scalar or a 1-D array and works element-wise.
 import math
 from dataclasses import dataclass
 
-from .quadcore import UnphysicalError, _apply_pair
+from .quadcore import UnphysicalError, _UnreadField, _apply_pair
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
@@ -49,8 +49,9 @@ class CavityParams:
     :meth:`hwhm`: fsr = c/(2L) unless ``fsr_hz`` is given, and
     hwhm = fsr/(2*finesse) unless ``hwhm_hz`` is given (explicit
     configuration wins over geometry, so a cavity may be specified by hwhm
-    alone); a derived rate of 0 or inf is refused.  A lossy cavity needs
-    ``t_in`` to fix its coupling ratio.
+    alone); a derived rate of 0 or inf is refused.  A given ``fsr_hz``
+    leaves ``length_m`` unread, so the two together are refused.  A lossy
+    cavity needs ``t_in`` to fix its coupling ratio.
     ``dataclasses.replace`` derives the rates again, and ``==`` compares
     the given fields.
     """
@@ -63,6 +64,8 @@ class CavityParams:
     hwhm_hz: float | None = None
 
     def __post_init__(self):
+        if self.length_m is not None and self.fsr_hz is not None:
+            raise _UnreadField("length_m", "a cavity whose fsr is given")
         if self.t_in is not None and not 0.0 <= self.t_in <= 1.0:
             raise UnphysicalError(f"t_in must lie in [0, 1], got {self.t_in!r}")
         if not 0.0 <= self.loss_rt < 1.0:
@@ -90,6 +93,9 @@ class CavityParams:
                 raise UnphysicalError(f"derived {label} must be positive and finite, got {value!r}")
         object.__setattr__(self, "_fsr", fsr)
         object.__setattr__(self, "_hwhm", hwhm)
+        # the fraction of the total decay rate that goes through the input coupler
+        object.__setattr__(self, "_coupling",
+                           1.0 if self.loss_rt == 0.0 else self.t_in / (self.t_in + self.loss_rt))
 
     def fsr(self):
         """Free spectral range in Hz, given or from the length; None without either."""
@@ -109,17 +115,10 @@ def finesse(t_in, loss_rt=0.0):
     return math.pi * math.sqrt(r1 * r2) / (1.0 - r1 * r2)
 
 
-def _coupling(p):
-    """Fraction of the total decay rate that goes through the input coupler."""
-    if p.loss_rt == 0.0:
-        return 1.0
-    return p.t_in / (p.t_in + p.loss_rt)
-
-
 def reflection(p, omega_hz):
     """Complex amplitude reflectivity at signed sideband omega_hz; propagate decides its range."""
-    x = (omega_hz - p.detuning_hz) / p.hwhm()
-    return 2.0 * _coupling(p) / (1.0 - 1j * x) - 1.0
+    x = (omega_hz - p.detuning_hz) / p._hwhm
+    return 2.0 * p._coupling / (1.0 - 1j * x) - 1.0
 
 
 def apply_cavity(s, p, omega_hz):

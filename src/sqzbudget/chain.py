@@ -11,11 +11,15 @@ stages' order orders only the budget's rows and the written [losses].
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import cavity as _cavity
 from .quadcore import (
     _apply_pair,
+    _isfinite,
+    _log10,
+    _quiet,
     _require,
     apply_loss,
     check_efficiency,
@@ -86,23 +90,29 @@ class FrequencyGrid:
         if self.points < 2:
             raise ValueError("need at least 2 grid points")
 
-    def frequencies(self):
+    def frequencies(self, floats=False):
         """The grid as an array, refused if too large to allocate or if rounding repeats a value.
 
-        Checked here, not when built: a grid is built for every command, and
-        only the ones that read it should pay for the array.
+        With ``floats=True`` the same values come as a list of floats, and
+        numpy stays out.  Checked here, not when built: a grid is built for
+        every command, and only the ones that read it should pay for the values.
         """
-        import numpy as np
+        if floats:
+            f = _linspace(self.fmin_hz, self.fmax_hz, self.points)
+            increasing = all(map(operator.lt, f, f[1:]))
+        else:
+            import numpy as np
 
-        # near intp-max bytes (linspace sizes the array through a float) numpy
-        # fails in ways of its own; a smaller grid fails, if at all, in allocation
-        if self.points > np.iinfo(np.intp).max // 16:
-            raise _too_large(self.points)
-        try:
-            f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
-        except MemoryError:
-            raise _too_large(self.points) from None
-        if not (f[1:] > f[:-1]).all():
+            # near intp-max bytes (linspace sizes the array through a float) numpy
+            # fails in ways of its own; a smaller grid fails, if at all, in allocation
+            if self.points > np.iinfo(np.intp).max // 16:
+                raise _too_large(self.points)
+            try:
+                f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
+            except MemoryError:
+                raise _too_large(self.points) from None
+            increasing = (f[1:] > f[:-1]).all()
+        if not increasing:
             raise ValueError("frequency grid must be strictly increasing")
         return f
 
@@ -132,10 +142,13 @@ class Scenario:
         # the efficiency that propagate applies and build_budget totals
         object.__setattr__(self, "_eta", math.prod(
             s.eta for s in chain if isinstance(s, LossElement)))
+        # the cavities by name, in chain order: propagate multiplies in each reflection
+        object.__setattr__(self, "_cavities", {
+            s.name: s for s in chain if isinstance(s, CavityStage)})
 
     def cavity_stage(self, name):
-        """The stage of this name, such as the cavity "filter_cavity" or "src", or None."""
-        return next((s for s in self.stages if s.name == name), None)
+        """The cavity stage of this name, "filter_cavity" or "src", or None."""
+        return self._cavities.get(name)
 
     def chain(self):
         """The stages in beam order, led by the source's escape as a LossElement.
@@ -145,36 +158,45 @@ class Scenario:
         return self._chain
 
 
+def _frequencies(frequencies):
+    """One frequency as a float, anything else as a 1-D float array."""
+    if isinstance(frequencies, (int, float)):
+        return float(frequencies)
+    import numpy as np
+
+    return np.atleast_1d(np.asarray(frequencies, dtype=float))
+
+
 def propagate(sc, omega_hz):
     """Covariance at the homodyne input for sideband frequency omega_hz.
 
-    omega_hz is a scalar or a 1-D array of finite, positive frequencies in
-    Hz; the scenario's display grid does not bound it.  This is the one place
-    that decides the model's range: each cavity with an FSR is a single
-    Lorentzian only for omega + |detuning| < fsr/4 (one given by hwhm alone
-    has no bound).  ``sc.chain()`` is one sideband pair (see the module
-    docstring), applied at all frequencies at once; a term that overflows
-    counts as its exact limit (the source far above its bandwidth is vacuum).
-    Out of range or a non-finite result raises UnphysicalError naming the
-    first bad frequency; lost positivity is an internal error.
+    omega_hz is one frequency or a 1-D array of finite, positive frequencies
+    in Hz; the scenario's display grid does not bound it.  One frequency is
+    worked on as a float with :mod:`math`, so numpy stays out, and gives a
+    covariance of floats.  This is the one place that decides the model's
+    range: each cavity with an FSR is a single Lorentzian only for
+    omega + |detuning| < fsr/4 (one given by hwhm alone has no bound).
+    ``sc.chain()`` is one sideband pair (see the module docstring), applied at
+    all frequencies at once; a term that overflows counts as its exact limit
+    (the source far above its bandwidth is vacuum).  Out of range or a
+    non-finite result raises UnphysicalError naming the first bad frequency;
+    lost positivity is an internal error.
     """
-    import numpy as np
-
-    _require(np.isfinite(omega_hz) & np.greater(omega_hz, 0.0), omega_hz,
+    omega_hz = _frequencies(omega_hz)
+    _require(_isfinite(omega_hz) & (omega_hz > 0.0), omega_hz,
              "omega_hz must be finite and > 0, got {!r}", ValueError)
     a = b = math.sqrt(sc._eta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stage in sc.stages:
-            if isinstance(stage, CavityStage):
-                p = stage.params
-                if p.fsr() is not None:
-                    # omega + |detuning| < fsr/4, arranged so that no term overflows
-                    _require(np.less(omega_hz, p.fsr() / 4.0 - abs(p.detuning_hz)), omega_hz,
-                             f"{stage.name}: {{!r}} Hz plus |detuning| is past fsr/4")
-                a = a * _cavity.reflection(p, omega_hz)
-                b = b * _cavity.reflection(p, -omega_hz).conjugate()
+    with _quiet(omega_hz):
+        for stage in sc._cavities.values():
+            p, fsr = stage.params, stage.params.fsr()
+            if fsr is not None:
+                # omega + |detuning| < fsr/4, arranged so that no term overflows
+                _require(omega_hz < fsr / 4.0 - abs(p.detuning_hz), omega_hz,
+                         f"{stage.name}: {{!r}} Hz plus |detuning| is past fsr/4")
+            a = a * _cavity.reflection(p, omega_hz)
+            b = b * _cavity.reflection(p, -omega_hz).conjugate()
         s = _apply_pair(generated_spectrum(sc.source, omega_hz), a, b)
-        ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
+        ok = _isfinite(s.s11) & _isfinite(s.s22) & _isfinite(s.s12)
         _require(ok, omega_hz, "propagated covariance is not finite at {!r} Hz")
         _require(s.is_positive_semidefinite(), omega_hz, "internal error: propagated "
                  "covariance is not positive semidefinite at {!r} Hz", RuntimeError)
@@ -192,15 +214,15 @@ def noise_db(sc, frequencies):
     """Homodyne noise in dB below shot noise at each frequency.
 
     Shot noise is the vacuum fixed point of the chain (relative variance 1),
-    so no reference run is needed.  The array is propagated whole, so the
-    temporaries grow with it; ``sqzbudget spectrum`` passes one chunk at a time.
+    so no reference run is needed.  One frequency gives a float, worked on
+    with :mod:`math`; anything else is propagated whole as an array, so the
+    temporaries grow with it, and ``sqzbudget spectrum`` passes one chunk at
+    a time.
     """
-    import numpy as np
-
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    freqs = _frequencies(frequencies)
     v = homodyne_readout(propagate(sc, freqs), sc.homodyne_angle)
-    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
-    return -10.0 * np.log10(v)
+    _require(_isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
+    return -10.0 * _log10(v)
 
 
 def _too_large(n):

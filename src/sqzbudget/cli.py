@@ -9,8 +9,13 @@ printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)
 may be called repeatedly; the parser is built once, and each call finds its command by name.
 
 ``budget`` and ``sweep`` are scalar arithmetic on floats and never import
-numpy; ``spectrum`` computes and formats the grid CHUNK_POINTS rows at a
-time, and prints nothing until every chunk has passed.
+numpy.  ``spectrum`` on a grid of at most CHUNK_POINTS (2048) points walks
+it one frequency at a time on plain floats, so it starts without numpy too.
+A longer grid is computed and formatted on numpy arrays, CHUNK_POINTS rows at
+a time, and nothing is printed until every chunk has passed.  Every error of
+``spectrum`` is named by the array path: if the float walk raises, the grid
+is computed again on arrays, which run each check over the whole grid before
+the next, and that error is the one printed (numpy loads only then).
 """
 
 import argparse
@@ -62,19 +67,36 @@ def cmd_budget(args, out):
     return 0
 
 
+def _columns(ns):
+    """The CSV columns of a NoiseSpectrum: frequency in MHz, then noise, signal and SNR in dB."""
+    return ns.frequency_hz / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db
+
+
+def _spectrum_csv(sc, grid):
+    """The CSV rows of the grid's spectrum, as a list of text chunks (see the module docstring)."""
+    if grid.points <= CHUNK_POINTS:
+        try:
+            rows = [_columns(interferometer.snr_spectrum(sc, f))
+                    for f in grid.frequencies(floats=True)]
+        except (ArithmeticError, ValueError, RuntimeError):
+            pass  # the array path below raises the error the grid's checks name first
+        else:
+            return [_csv_lines(tuple(zip(*rows)))]
+    freqs = grid.frequencies()
+    return [_csv_lines([c.tolist() for c in _columns(
+                interferometer.snr_spectrum(sc, freqs[start:start + CHUNK_POINTS]))])
+            for start in range(0, freqs.size, CHUNK_POINTS)]
+
+
 def cmd_spectrum(args, out):
     sc = load_scenario(args.scenario)
-    freqs = chain.FrequencyGrid(
+    grid = chain.FrequencyGrid(
         fmin_hz=(args.fmin_mhz * 1e6 if args.fmin_mhz is not None else sc.grid.fmin_hz),
         fmax_hz=(args.fmax_mhz * 1e6 if args.fmax_mhz is not None else sc.grid.fmax_hz),
         points=(args.points if args.points is not None else sc.grid.points),
-    ).frequencies()
-    chunks = ["frequency_mhz,noise_db,signal_db,snr_improvement_db\n"]
-    for start in range(0, freqs.size, CHUNK_POINTS):
-        ns = interferometer.snr_spectrum(sc, freqs[start:start + CHUNK_POINTS])
-        columns = (ns.frequency_hz / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
-        chunks.append(_csv_lines([c.tolist() for c in columns]))
-    out.writelines(chunks)
+    )
+    out.writelines(["frequency_mhz,noise_db,signal_db,snr_improvement_db\n",
+                    *_spectrum_csv(sc, grid)])
     return 0
 
 

@@ -15,7 +15,7 @@ second, pump-off run.
 from dataclasses import dataclass
 
 from . import chain as _chain
-from .quadcore import _require
+from .quadcore import _isfinite, _log10, _quiet, _require
 
 
 def signal_gain(p, omega_hz):
@@ -35,12 +35,13 @@ class NoiseSpectrum:
     """Per-frequency noise (dB relative to shot), signal gain, and SNR gain.
 
     noise_db and snr_improvement_db are positive below shot noise;
-    signal_db is the normalized signal gain (0 dB at the peak).
+    signal_db is the normalized signal gain (0 dB at the peak).  Each field is
+    a float for one frequency, or an array over many.
     """
 
-    frequency_hz: "np.ndarray"  # quoted: the module loads without numpy
-    noise_db: "np.ndarray"
-    signal_db: "np.ndarray"
+    frequency_hz: "float | np.ndarray"  # quoted: the module loads without numpy
+    noise_db: "float | np.ndarray"
+    signal_db: "float | np.ndarray"
 
     @property
     def snr_improvement_db(self):
@@ -51,24 +52,23 @@ class NoiseSpectrum:
 def snr_spectrum(sc, frequencies):
     """Noise, signal, and SNR-improvement spectra of any chain.
 
-    frequencies is any finite, positive scalar or 1-D array in Hz, in any
-    order; it need not lie on the scenario's display grid.  Noise is
-    referenced to shot noise, the vacuum fixed point of the chain (see
+    frequencies is one finite, positive frequency in Hz, whose spectrum holds
+    floats worked on with :mod:`math` (numpy stays out), or a 1-D array of
+    them in any order; it need not lie on the scenario's display grid.  Noise
+    is referenced to shot noise, the vacuum fixed point of the chain (see
     :func:`sqzbudget.chain.noise_db`).  The signal is the recycling cavity's
     response, or flat 0 dB for a chain without one.  The signal path is
     untouched by squeezing, hence the improvement column equals the noise
     suppression.  :func:`sqzbudget.chain.propagate` decides the frequency
     range; a signal column that leaves float range is refused like the noise.
     """
-    import numpy as np
-
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    freqs = _chain._frequencies(frequencies)
     noise = _chain.noise_db(sc, freqs)
     stage = sc.cavity_stage("src")
     if stage is None:
-        signal = np.zeros_like(noise)
+        signal = 0.0 * freqs  # +0 dB: noise_db has checked that every frequency is finite and > 0
     else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            signal = 10.0 * np.log10(signal_gain(stage.params, freqs))
-        _require(np.isfinite(signal), freqs, "src cavity signal gain underflows at {!r} Hz")
+        with _quiet(freqs):
+            signal = 10.0 * _log10(signal_gain(stage.params, freqs))
+        _require(_isfinite(signal), freqs, "src cavity signal gain underflows at {!r} Hz")
     return NoiseSpectrum(frequency_hz=freqs, noise_db=noise, signal_db=signal)

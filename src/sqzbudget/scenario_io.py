@@ -10,8 +10,10 @@ the one key of [detection] is the ``homodyne_angle`` field of
 (frequencies are MHz in files and Hz in memory).  Unknown keys are rejected
 with the offending line number, and a field without a default must be given.
 A key given twice in any section, [losses] included, is rejected at its
-second line.  :func:`format_scenario` writes back what was given: each field
-that differs from its default.
+second line, and a key that the section's form would not read (such as a
+cavity's ``length_m`` beside its ``fsr_mhz``) at its own line.
+:func:`format_scenario` writes back what was given: each field that differs
+from its default.
 
 The [losses] section is ordered and defines the chain: plain elements are
 ``name = eta @ category`` lines, and each cavity section is placed in the
@@ -51,7 +53,8 @@ import pathlib
 
 from .cavity import CavityParams
 from .chain import CATEGORIES, CAVITY_ROLES, CavityStage, FrequencyGrid, LossElement, Scenario
-from .source import SourceParams, _UnreadField
+from .quadcore import _UnreadField
+from .source import SourceParams
 
 _MARKER = "@cavity"
 
@@ -193,6 +196,14 @@ def _build_losses(sections, cavities):
     return stages
 
 
+def _build(cls, section, sections):
+    """cls built from a section; a field that its form does not read is refused at its line."""
+    try:
+        return cls(**_read_section(section, sections))
+    except _UnreadField as exc:
+        raise ScenarioParseError(str(exc), sections[section][1][_key(exc.field)][1]) from None
+
+
 def parse_scenario(text, name="scenario"):
     """Parse scenario text into a Scenario.
 
@@ -203,11 +214,8 @@ def parse_scenario(text, name="scenario"):
     sections = _split_sections(text.removeprefix("\ufeff"))
     if "source" not in sections:
         raise ScenarioParseError("missing required section [source]")
-    try:
-        source = SourceParams(**_read_section("source", sections))
-    except _UnreadField as exc:  # refused at the key's line
-        raise ScenarioParseError(str(exc), sections["source"][1][exc.field][1]) from None
-    cavities = {name: CavityParams(**_read_section(name, sections))
+    source = _build(SourceParams, "source", sections)
+    cavities = {name: _build(CavityParams, name, sections)
                 for name in CAVITY_ROLES if name in sections}
     stages = _build_losses(sections, cavities)
     kwargs = _read_section("detection", sections)

@@ -27,22 +27,14 @@ escape is the first loss of ``Scenario.chain()``, which both
 import math
 from dataclasses import dataclass
 
-from .quadcore import (SpectralCovariance, UnphysicalError, _require, check_efficiency,
-                       db_to_variance)
+from .quadcore import (SpectralCovariance, UnphysicalError, _require, _UnreadField,
+                       check_efficiency, db_to_variance)
 
 PUMP_PARAMETER_LIMIT = 0.99  # V_plus diverges as x -> 1
 
 # the form of the source that reads each optional field: a mode, or the escape's pair
 _READ_BY = {"gen_db_at_dc": "direct", "classical_gain": "physical",
             "t_out": "t_out and loss_rt", "loss_rt": "t_out and loss_rt"}
-
-
-class _UnreadField(ValueError):
-    """A field given to a source whose form does not read it; ``field`` is its name."""
-
-    def __init__(self, field, mode, escape):
-        self.field = field
-        super().__init__(f"{field} is not read by a {mode} source with {escape}")
 
 
 def escape_efficiency(t_out, loss_rt):
@@ -88,7 +80,7 @@ class SourceParams:
         escape = "escape_eta" if self.escape_eta is not None else "t_out and loss_rt"
         for name, form in _READ_BY.items():
             if form not in (self.mode, escape) and getattr(self, name) is not None:
-                raise _UnreadField(name, self.mode, escape)
+                raise _UnreadField(name, f"a {self.mode} source with {escape}")
         if not 0.0 < self.bandwidth_hz < math.inf:
             raise UnphysicalError(
                 f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz!r}")
@@ -125,10 +117,12 @@ class SourceParams:
 
 
 def generated_spectrum(p, omega_hz):
-    """The OPA's pure state, before escape, at sideband omega_hz (scalar or array)."""
-    import numpy as np
+    """The OPA's pure state, before escape, at sideband omega_hz (a float or an array).
 
-    u2 = np.square(omega_hz / p._width)  # numpy even for a float: overflow obeys np.errstate
-    vm = 1.0 - (1.0 - p._v0) / (1.0 + u2)
-    _require(np.greater(vm, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
+    Far above the width u*u overflows to inf and the state to vacuum, its
+    limit: silently for a float, under np.errstate for an array.
+    """
+    u = omega_hz / p._width
+    vm = 1.0 - (1.0 - p._v0) / (1.0 + u * u)
+    _require(vm > 0.0, omega_hz, "squeezed variance is not positive at {!r} Hz")
     return SpectralCovariance(vm, 1.0 / vm)

@@ -48,8 +48,10 @@ def test_derive_rates_from_geometry():
     assert p.hwhm() == pytest.approx(1038779.9974564468, rel=1e-13)
     assert p.fsr() == SPEED_OF_LIGHT / (2.0 * 1.21)
     assert p.hwhm() == p.fsr() / (2.0 * finesse(0.1))
-    # a given fsr wins over the length
-    assert CavityParams(t_in=0.1, length_m=1.21, fsr_hz=200.0 * MHZ).fsr() == 200.0 * MHZ
+    # a given fsr would leave the length unread, so the two together are refused
+    assert CavityParams(t_in=0.1, fsr_hz=200.0 * MHZ).fsr() == 200.0 * MHZ
+    with pytest.raises(ValueError, match="^length_m is not read by a cavity whose fsr is given$"):
+        CavityParams(t_in=0.1, length_m=1.21, fsr_hz=200.0 * MHZ)
     lossy = CavityParams(t_in=0.1, loss_rt=0.003, length_m=1.21)
     assert lossy.hwhm() == pytest.approx(1068409.4727756338, rel=1e-13)
 

@@ -265,6 +265,19 @@ def test_unread_source_key_exits_2(tmp_path, capsys):
             "error: line 11: classical_gain is not read by a direct source with escape_eta")
 
 
+def test_cavity_length_beside_fsr_exits_2(tmp_path, capsys):
+    # fsr_mhz beside length_m would leave the length unread and move the spectrum
+    text = pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8")
+    assert text.count("length_m = 1.21\n") == 2
+    scn = tmp_path / "tabletop.scn"
+    scn.write_text(text.replace("length_m = 1.21\n", "length_m = 1.21\nfsr_mhz = 5000\n"),
+                   encoding="utf-8")
+    for command in ("budget", "spectrum"):
+        assert run([command, str(scn)]) == (2, "")
+        assert _only_error_line(capsys) == (
+            "error: line 15: length_m is not read by a cavity whose fsr is given")
+
+
 @pytest.mark.parametrize("fmax", ["200", "1e300"])
 def test_band_past_quarter_fsr_exits_3(fmax, capsys):
     # the 1.21 m tabletop cavities, 10 MHz detuned, hold up to ~21 MHz; past

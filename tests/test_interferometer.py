@@ -104,9 +104,9 @@ def test_snr_spectrum_takes_frequencies_in_any_order(tabletop):
     ns = snr_spectrum(tabletop, freqs)
     assert np.array_equal(ns.frequency_hz, freqs)
     for i, f in enumerate(freqs):
-        one = snr_spectrum(tabletop, f)
-        assert ns.noise_db[i] == pytest.approx(one.noise_db[0], rel=1e-13)
-        assert ns.signal_db[i] == pytest.approx(one.signal_db[0], rel=1e-13, abs=1e-15)
+        one = snr_spectrum(tabletop, f)  # one frequency gives floats
+        assert ns.noise_db[i] == pytest.approx(one.noise_db, rel=1e-13)
+        assert ns.signal_db[i] == pytest.approx(one.signal_db, rel=1e-13, abs=1e-15)
     assert ns.noise_db[1] == ns.noise_db[3]
     assert ns.snr_improvement_db is ns.noise_db
 

@@ -1,27 +1,36 @@
-"""``budget`` and ``sweep`` run on floats alone: numpy stays out, the numbers stay put.
+"""``budget``, ``sweep`` and a one-chunk ``spectrum`` run on floats alone: numpy stays out, the numbers stay put.
 
 The guard runs each command in a fresh ``python -W error`` interpreter and
-reads ``sys.modules`` afterwards.  The differential holds the math-only
-scalar path to the numpy formulas it replaced: the sweep grid to
-``numpy.linspace`` value for value, and the printed dB values digit for digit
-(``math.log10`` and ``numpy.log10`` differ in the last ulp on some inputs).
+reads ``sys.modules`` afterwards.  ``spectrum`` walks a grid of at most
+``cli.CHUNK_POINTS`` (2048) points one float at a time; a longer grid, or one
+whose float walk raises, is computed on numpy arrays, and that array path
+names every error.  The differentials hold the math-only paths to the numpy
+formulas they stand in for: the sweep grid to ``numpy.linspace`` value for
+value, the printed dB values digit for digit (``math.log10`` and
+``numpy.log10`` differ in the last ulp on some inputs), and the float walk
+of ``spectrum`` to its array path on seeded generated chains, by exit code,
+stdout and the stderr line.
 """
 
 import ast
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import corpus
 import sqzbudget
-from sqzbudget.chain import _linspace, efficiency_sweep
-from sqzbudget.cli import _csv_lines
-from sqzbudget.quadcore import apply_loss, db_to_variance, variance_to_db
+from sqzbudget.chain import FrequencyGrid, _linspace, efficiency_sweep, propagate
+from sqzbudget.cli import CHUNK_POINTS, _csv_lines
+from sqzbudget.interferometer import snr_spectrum
+from sqzbudget.quadcore import UnphysicalError, apply_loss, db_to_variance, variance_to_db
+from sqzbudget.scenario_io import parse_scenario
 
-from conftest import bundled_scenario_path
+from conftest import bundled_scenario_path, load_bundled
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -49,17 +58,110 @@ def test_import_leaves_numpy_out(module):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def _array_csv(sc, freqs):
+    """What ``spectrum`` prints for sc on freqs, from one snr_spectrum over the whole array."""
+    ns = snr_spectrum(sc, freqs)
+    columns = (ns.frequency_hz / 1e6, ns.noise_db, ns.signal_db, ns.snr_improvement_db)
+    return ("frequency_mhz,noise_db,signal_db,snr_improvement_db\n"
+            + _csv_lines([c.tolist() for c in columns]))
+
+
 @pytest.mark.parametrize("argv,golden,numpy_loaded", [
     (["budget", bundled_scenario_path("tabletop")], "tabletop_budget.txt", False),
     (["sweep", "--input-db", "10"], "sweep_input_10.csv", False),
-    # the guard sees numpy where it is loaded
-    (["spectrum", bundled_scenario_path("tabletop")], "tabletop_spectrum.csv", True),
+    # the guard sees numpy where it is loaded: a grid one point past a chunk
+    (["spectrum", bundled_scenario_path("tabletop"), "--points", "2049"], None, True),
 ], ids=["budget", "sweep", "spectrum"])
 def test_command_loads_numpy_only_for_spectrum(argv, golden, numpy_loaded, golden_dir):
     proc = _fresh(RUN_CLI, *argv)
     assert proc.stderr == ""
-    expected = (golden_dir / golden).read_text(encoding="utf-8")
+    expected = ((golden_dir / golden).read_text(encoding="utf-8") if golden
+                else _array_csv(load_bundled("tabletop"), np.linspace(5e6, 15e6, 2049)))
     assert proc.stdout == expected + f"0 {numpy_loaded}\n"
+
+
+@pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum"])
+def test_cold_spectrum_of_one_chunk_leaves_numpy_out(name, golden_dir):
+    proc = _fresh(RUN_CLI, "spectrum", bundled_scenario_path(name))
+    assert proc.stderr == ""
+    expected = (golden_dir / f"{name}_spectrum.csv").read_text(encoding="utf-8")
+    assert proc.stdout == expected + "0 False\n"
+
+
+class _Walks:
+    """Records how cmd_spectrum reads its grid: True for the float walk, False for arrays.
+
+    With ``float_walk=False`` the float walk raises at once, so the grid is
+    computed on the array path alone, as after any float walk that raises.
+    """
+
+    def __init__(self, monkeypatch, float_walk=True):
+        self.calls = []
+        frequencies = FrequencyGrid.frequencies
+
+        def recorded(grid, floats=False):
+            self.calls.append(floats)
+            if floats and not float_walk:
+                raise ValueError("the float walk is off")
+            return frequencies(grid, floats)
+
+        monkeypatch.setattr(FrequencyGrid, "frequencies", recorded)
+
+    def run(self, argv):
+        self.calls.clear()
+        return (*corpus.run(argv), tuple(self.calls))
+
+
+@pytest.mark.parametrize("points", [CHUNK_POINTS, CHUNK_POINTS + 1])
+def test_spectrum_either_side_of_one_chunk_prints_the_array_csv(points, tabletop, monkeypatch):
+    walks = _Walks(monkeypatch)
+    code, out, err, calls = walks.run(
+        ["spectrum", bundled_scenario_path("tabletop"), "--points", str(points)])
+    assert (code, err) == (0, "")
+    assert out == _array_csv(tabletop, np.linspace(5e6, 15e6, points))
+    assert calls == ((True,) if points <= CHUNK_POINTS else (False,))
+
+
+def test_float_walk_prints_what_the_array_path_prints(tmp_path, monkeypatch):
+    # corpus chains of every shape, on their own 21-point grids and on
+    # 401-point bands, many of which reach past a cavity's fsr/4
+    rng, band_rng = random.Random("float walk: chains"), random.Random("float walk: bands")
+    argvs = []
+    for i in range(len(corpus.SHAPES) * 2):
+        path = tmp_path / f"gen{i:02d}.scn"
+        path.write_text(corpus.generated_scenario(rng, i), encoding="utf-8")
+        argvs += [["spectrum", str(path)], ["spectrum", str(path), *corpus._band(band_rng)]]
+    with monkeypatch.context() as patch:
+        walked = [_Walks(patch).run(argv) for argv in argvs]
+    with monkeypatch.context() as patch:
+        arrays = [_Walks(patch, float_walk=False).run(argv) for argv in argvs]
+    assert [w[:3] for w in walked] == [a[:3] for a in arrays]
+    # a chain that passes never needs the arrays; one that fails is named by them
+    assert {w[3] for w in walked if w[0] == 0} == {(True,)}
+    assert {w[3] for w in walked if w[0] != 0} == {(True, False)}
+    codes = [w[0] for w in walked]
+    assert codes.count(0) > 40 and codes.count(3) > 10
+    assert sum("past fsr/4" in w[2] for w in walked) > 10
+
+
+def test_two_cavities_past_fsr4_name_the_array_paths_error(tmp_path):
+    # src holds its sidebands below 2.24 MHz and the filter cavity below
+    # 14.82 MHz, so a walk one frequency at a time meets src first; the array
+    # path checks the filter cavity, first in the chain, over the whole grid first
+    tabletop = pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8")
+    text = (tabletop.split("[losses]")[0]
+            .replace("detuning_mhz = -10\nlength_m = 1.21", "detuning_mhz = 2.539\nlength_m = 2.1588")
+            .replace("detuning_mhz = 10\nlength_m = 1.21", "detuning_mhz = 9.7\nfsr_mhz = 47.7627")
+            + "[losses]\nfilter_cavity = @cavity\nsrc = @cavity\n"
+            + "[grid]\nfmin_mhz = 1.755\nfmax_mhz = 14.946\npoints = 21\n")
+    sc = parse_scenario(text)
+    with pytest.raises(UnphysicalError, match="^src: "):  # one frequency at a time
+        for f in sc.grid.frequencies(floats=True):
+            propagate(sc, f)
+    path = tmp_path / "two.scn"
+    path.write_text(text, encoding="utf-8")
+    assert corpus.run(["spectrum", str(path)]) == (
+        3, "", "error: filter_cavity: 14946000.0 Hz plus |detuning| is past fsr/4\n")
 
 
 def test_benchmark_setup_code_still_runs():

@@ -130,8 +130,8 @@ def sources(draw):
 
 @st.composite
 def cavities(draw):
-    """A cavity given by length, by fsr, by both, or by hwhm with or without a length."""
-    given = draw(st.sampled_from(("length", "fsr", "length+fsr", "hwhm", "length+hwhm")))
+    """A cavity given by length, by fsr, or by hwhm with or without a length or an fsr."""
+    given = draw(st.sampled_from(("length", "fsr", "hwhm", "length+hwhm", "fsr+hwhm")))
     kwargs = {"detuning_hz": draw(st.sampled_from((-1, 1))) * draw(mhz_1dp) * MHZ}
     if "length" in given:
         kwargs["length_m"] = draw(lengths)
@@ -245,6 +245,15 @@ def test_unknown_key_line_number():
 def test_unread_source_key_is_refused_at_its_line(edit, line, message):
     err = _err(MINIMAL.replace(*edit))
     assert (err.line, str(err)) == (line, f"line {line}: {message}")
+
+
+def test_length_beside_fsr_is_refused_at_its_line():
+    # a given fsr leaves the length unread: no silent number, whichever comes first
+    text = MINIMAL + "\n[src]\nt_in = 0.1\nlength_m = 1.21\nfsr_mhz = 200\n[losses]\nsrc = @cavity\n"
+    err = _err(text)
+    assert (err.line, str(err)) == (9, "line 9: length_m is not read by a cavity whose fsr is given")
+    err = _err(text.replace("length_m = 1.21\nfsr_mhz = 200", "fsr_mhz = 200\nlength_m = 1.21"))
+    assert err.line == 10
 
 
 def test_duplicate_key_rejected():
