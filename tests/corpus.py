@@ -18,7 +18,10 @@ The commands are:
 - the bundled scenarios, run the same three ways;
 - a few sweeps, one of them refused;
 - copies of the bundled scenarios with one to three whole lines dropped,
-  duplicated, swapped or truncated, which pin exit codes and error lines.
+  duplicated, swapped or truncated, which pin exit codes and error lines;
+- copies of the bundled scenarios with one number set to an extreme value:
+  each number in turn takes each of EXTREMES, and ``points`` each of
+  EXTREME_POINTS (none of which builds a grid past 2049 points).
 
 The generators are seeded and use only :mod:`random`, so the corpus changes
 only when this file or the program does.
@@ -29,6 +32,7 @@ import hashlib
 import importlib.resources
 import io
 import random
+import re
 import warnings
 
 from sqzbudget.chain import CATEGORIES
@@ -48,6 +52,12 @@ SWEEPS = (
     ["--input-db", "-3", "--eta-min", "0.8", "--eta-max", "0.8", "--points", "5"],
     ["--input-db", "10", "--eta-min", "0.9", "--eta-max", "0.5"],
 )
+# zeros of both signs, the smallest subnormal and normal, the float just below 1,
+# the edge of float range and the two non-finite spellings
+EXTREMES = ("0", "-0", "5e-324", "2.2e-308", "0.9999999999999999", "1e308", "inf", "nan")
+# no grid, one point, one chunk, one point past it, and the largest int64
+EXTREME_POINTS = ("0", "1", "2048", "2049", str(2**63 - 1))
+NUMBER_LINE = re.compile(r"(\w+ = )(-?\d[\w.+-]*)(.*\n)")  # key = number, then " @ category" or nothing
 
 
 def _cavity_section(rng, role, form):
@@ -110,6 +120,18 @@ def mutated_scenario(rng, text):
     return "".join(lines)
 
 
+def extreme_scenarios(text):
+    """(line number, value, text) for text with one number replaced by one extreme value."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        match = NUMBER_LINE.fullmatch(line)
+        if match is None:
+            continue
+        for value in EXTREME_POINTS if match[1] == "points = " else EXTREMES:
+            if value != match[2]:
+                yield i + 1, value, "".join([*lines[:i], match[1] + value + match[3], *lines[i + 1:]])
+
+
 def _band(rng):
     fmin = round(rng.uniform(0.05, 10.0), 3)
     return ["--fmin-mhz", str(fmin), "--fmax-mhz", str(round(fmin + rng.uniform(1.0, 40.0), 3)),
@@ -145,6 +167,11 @@ def commands(folder):
         name = write(f"{source}_edit{i:03d}.scn", mutated_scenario(rng, bundled[source]))
         yield ["budget", name]
         yield ["spectrum", name]
+    for source in BUNDLED[:2]:
+        for number, value, text in extreme_scenarios(bundled[source]):
+            name = write(f"{source}_line{number:02d}_{value}.scn", text)
+            yield ["budget", name]
+            yield ["spectrum", name]
 
 
 def run(argv):

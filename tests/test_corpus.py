@@ -10,6 +10,7 @@ exits 0 is also checked against the independent model in ``bench/reference.py``.
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 import corpus
@@ -48,16 +49,19 @@ def test_corpus_outputs_match_reference_model(outputs):
         if code != 0 or argv[0] == "sweep":
             continue
         sections = reference.read_scn((folder / argv[1]).read_text(encoding="utf-8"))
-        if argv[0] == "budget":
-            why = reference.check_budget(out, sections)
-        elif len(argv) == 2:  # the file's own grid
-            why = reference.check_csv(out, sections, *reference.grid(sections))
-        else:  # a band given by all three options
-            band = dict(zip(argv[2::2], argv[3::2]))
-            why = reference.check_csv(out, sections, float(band["--fmin-mhz"]) * 1e6,
-                                      float(band["--fmax-mhz"]) * 1e6, int(band["--points"]))
+        # at the extreme values the reference's own (omega/width)**2 overflows to
+        # inf, whose limit (vacuum) is what the program prints
+        with np.errstate(over="ignore"):
+            if argv[0] == "budget":
+                why = reference.check_budget(out, sections)
+            elif len(argv) == 2:  # the file's own grid
+                why = reference.check_csv(out, sections, *reference.grid(sections))
+            else:  # a band given by all three options
+                band = dict(zip(argv[2::2], argv[3::2]))
+                why = reference.check_csv(out, sections, float(band["--fmin-mhz"]) * 1e6,
+                                          float(band["--fmax-mhz"]) * 1e6, int(band["--points"]))
         checked += 1
         if why is not None:
             mismatches.append(f"{' '.join(argv)}: {why}")
     assert mismatches == []
-    assert checked == 493  # every budget and spectrum of the corpus that exits 0
+    assert checked == 739  # every budget and spectrum of the corpus that exits 0
