@@ -37,9 +37,10 @@ def main():
         print(format_budget(build_budget(sc)))
 
     print("table-top noise spectrum (amplitude quadrature, dB below shot):")
-    for f_mhz in (5.0, 10.0, 14.0, 15.0):
-        v = homodyne_readout(propagate(tabletop, f_mhz * 1e6), tabletop.homodyne_angle)
-        print(f"  {f_mhz:5.1f} MHz  {variance_to_db(v):5.2f} dB")
+    markers_mhz = np.array([5.0, 10.0, 14.0, 15.0])
+    v = homodyne_readout(propagate(tabletop, markers_mhz * 1e6), tabletop.homodyne_angle)
+    for f_mhz, v_f in zip(markers_mhz.tolist(), v.tolist()):
+        print(f"  {f_mhz:5.1f} MHz  {variance_to_db(v_f):5.2f} dB")
     print()
 
     ns = snr_spectrum(tabletop, tabletop.grid.frequencies())

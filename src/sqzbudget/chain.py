@@ -8,18 +8,16 @@ pair (Caves and Schumaker, PRA 31, 3068 (1985)), A = sqrt(prod eta) *
 prod r_c(+omega) on the upper sideband and B = sqrt(prod eta) *
 prod conj(r_c(-omega)) on the lower, which :func:`propagate` applies once; the
 stages' order orders only the budget's rows and the written [losses].
+:func:`propagate` and :func:`noise_db` work on numpy arrays, one frequency
+as a one-element array; the budget and the sweep are arithmetic on floats.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import cavity as _cavity
 from .quadcore import (
     _apply_pair,
-    _isfinite,
-    _log10,
-    _quiet,
     _require,
     apply_loss,
     check_efficiency,
@@ -50,15 +48,15 @@ class LossElement:
     category: str = "other"
 
     def __post_init__(self):
+        # the category first, so that a [losses] line refuses it (exit 2) before its eta (exit 3)
+        if self.category not in CATEGORIES:
+            raise ValueError(
+                f"unknown category {self.category!r}; expected one of {', '.join(CATEGORIES)}")
         check_efficiency(self.eta, f"loss element {self.name!r}")
         name = self.name
         if (name.splitlines() != [name] or name != name.strip() or "=" in name
                 or name[0] in "#[" or name in CAVITY_ROLES):
             raise ValueError(f"loss element name {name!r} cannot be read back from a scenario")
-        if self.category not in CATEGORIES:
-            raise ValueError(
-                f"unknown category {self.category!r}; expected one of {CATEGORIES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -90,29 +88,23 @@ class FrequencyGrid:
         if self.points < 2:
             raise ValueError("need at least 2 grid points")
 
-    def frequencies(self, floats=False):
+    def frequencies(self):
         """The grid as an array, refused if too large to allocate or if rounding repeats a value.
 
-        With ``floats=True`` the same values come as a list of floats, and
-        numpy stays out.  Checked here, not when built: a grid is built for
-        every command, and only the ones that read it should pay for the values.
+        Checked here, not when built: a grid is built for every command, and
+        only the ones that read it should pay for the array.
         """
-        if floats:
-            f = _linspace(self.fmin_hz, self.fmax_hz, self.points)
-            increasing = all(map(operator.lt, f, f[1:]))
-        else:
-            import numpy as np
+        import numpy as np
 
-            # near intp-max bytes (linspace sizes the array through a float) numpy
-            # fails in ways of its own; a smaller grid fails, if at all, in allocation
-            if self.points > np.iinfo(np.intp).max // 16:
-                raise _too_large(self.points)
-            try:
-                f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
-            except MemoryError:
-                raise _too_large(self.points) from None
-            increasing = (f[1:] > f[:-1]).all()
-        if not increasing:
+        # near intp-max bytes (linspace sizes the array through a float) numpy
+        # fails in ways of its own; a smaller grid fails, if at all, in allocation
+        if self.points > np.iinfo(np.intp).max // 16:
+            raise _too_large(self.points)
+        try:
+            f = np.linspace(self.fmin_hz, self.fmax_hz, self.points)
+        except MemoryError:
+            raise _too_large(self.points) from None
+        if not (f[1:] > f[:-1]).all():
             raise ValueError("frequency grid must be strictly increasing")
         return f
 
@@ -159,9 +151,7 @@ class Scenario:
 
 
 def _frequencies(frequencies):
-    """One frequency as a float, anything else as a 1-D float array."""
-    if isinstance(frequencies, (int, float)):
-        return float(frequencies)
+    """One frequency or a sequence of them as a 1-D float array."""
     import numpy as np
 
     return np.atleast_1d(np.asarray(frequencies, dtype=float))
@@ -171,22 +161,23 @@ def propagate(sc, omega_hz):
     """Covariance at the homodyne input for sideband frequency omega_hz.
 
     omega_hz is one frequency or a 1-D array of finite, positive frequencies
-    in Hz; the scenario's display grid does not bound it.  One frequency is
-    worked on as a float with :mod:`math`, so numpy stays out, and gives a
-    covariance of floats.  This is the one place that decides the model's
-    range: each cavity with an FSR is a single Lorentzian only for
-    omega + |detuning| < fsr/4 (one given by hwhm alone has no bound).
-    ``sc.chain()`` is one sideband pair (see the module docstring), applied at
-    all frequencies at once; a term that overflows counts as its exact limit
-    (the source far above its bandwidth is vacuum).  Out of range or a
-    non-finite result raises UnphysicalError naming the first bad frequency;
-    lost positivity is an internal error.
+    in Hz, worked on as an array; the scenario's display grid does not bound
+    it.  This is the one place that decides the model's range: each cavity
+    with an FSR is a single Lorentzian only for omega + |detuning| < fsr/4
+    (one given by hwhm alone has no bound).  ``sc.chain()`` is one sideband
+    pair (see the module docstring), applied at all frequencies at once; a
+    term that overflows counts as its exact limit (the source far above its
+    bandwidth is vacuum).  Out of range or a non-finite result raises
+    UnphysicalError naming the first bad frequency; lost positivity is an
+    internal error.
     """
+    import numpy as np
+
     omega_hz = _frequencies(omega_hz)
-    _require(_isfinite(omega_hz) & (omega_hz > 0.0), omega_hz,
+    _require(np.isfinite(omega_hz) & (omega_hz > 0.0), omega_hz,
              "omega_hz must be finite and > 0, got {!r}", ValueError)
     a = b = math.sqrt(sc._eta)
-    with _quiet(omega_hz):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for stage in sc._cavities.values():
             p, fsr = stage.params, stage.params.fsr()
             if fsr is not None:
@@ -196,7 +187,7 @@ def propagate(sc, omega_hz):
             a = a * _cavity.reflection(p, omega_hz)
             b = b * _cavity.reflection(p, -omega_hz).conjugate()
         s = _apply_pair(generated_spectrum(sc.source, omega_hz), a, b)
-        ok = _isfinite(s.s11) & _isfinite(s.s22) & _isfinite(s.s12)
+        ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
         _require(ok, omega_hz, "propagated covariance is not finite at {!r} Hz")
         _require(s.is_positive_semidefinite(), omega_hz, "internal error: propagated "
                  "covariance is not positive semidefinite at {!r} Hz", RuntimeError)
@@ -211,18 +202,17 @@ def homodyne_readout(s, theta):
 
 
 def noise_db(sc, frequencies):
-    """Homodyne noise in dB below shot noise at each frequency.
+    """Homodyne noise in dB below shot noise at each frequency, as an array.
 
     Shot noise is the vacuum fixed point of the chain (relative variance 1),
-    so no reference run is needed.  One frequency gives a float, worked on
-    with :mod:`math`; anything else is propagated whole as an array, so the
-    temporaries grow with it, and ``sqzbudget spectrum`` passes one chunk at
-    a time.
+    so no reference run is needed.  The array is propagated whole, so the
+    temporaries grow with it; ``sqzbudget spectrum`` passes one chunk at a time.
     """
-    freqs = _frequencies(frequencies)
-    v = homodyne_readout(propagate(sc, freqs), sc.homodyne_angle)
-    _require(_isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
-    return -10.0 * _log10(v)
+    import numpy as np
+
+    v = homodyne_readout(propagate(sc, frequencies), sc.homodyne_angle)
+    _require(np.isfinite(v) & (v > 0.0), v, "relative variance must be positive, got {!r}")
+    return -10.0 * np.log10(v)
 
 
 def _too_large(n):

@@ -9,13 +9,14 @@ printed with 2 decimals in tables and 6 decimals in CSV.  ``entry(argv, out=...)
 may be called repeatedly; the parser is built once, and each call finds its command by name.
 
 ``budget`` and ``sweep`` are scalar arithmetic on floats and never import
-numpy.  ``spectrum`` on a grid of at most CHUNK_POINTS (2048) points walks
-it one frequency at a time on plain floats, so it starts without numpy too.
-A longer grid is computed and formatted on numpy arrays, CHUNK_POINTS rows at
-a time, and nothing is printed until every chunk has passed.  Every error of
-``spectrum`` is named by the array path: if the float walk raises, the grid
-is computed again on arrays, which run each check over the whole grid before
-the next, and that error is the one printed (numpy loads only then).
+numpy.  ``spectrum`` on a grid of at most CHUNK_POINTS (2048) points is one
+walk over plain floats with :mod:`math` (``interferometer._spectrum_rows``),
+so it starts without numpy too.  A longer grid is computed and formatted on
+numpy arrays, CHUNK_POINTS rows at a time, and nothing is printed until every
+chunk has passed.  Every error of ``spectrum`` is named by the array path:
+the walk formats no message, and where any check would fail it gives up, the
+grid is computed again on arrays, which run each check over the whole grid
+before the next, and that error is the one printed (numpy loads only then).
 """
 
 import argparse
@@ -75,12 +76,8 @@ def _columns(ns):
 def _spectrum_csv(sc, grid):
     """The CSV rows of the grid's spectrum, as a list of text chunks (see the module docstring)."""
     if grid.points <= CHUNK_POINTS:
-        try:
-            rows = [_columns(interferometer.snr_spectrum(sc, f))
-                    for f in grid.frequencies(floats=True)]
-        except (ArithmeticError, ValueError, RuntimeError):
-            pass  # the array path below raises the error the grid's checks name first
-        else:
+        rows = interferometer._spectrum_rows(sc, grid)
+        if rows is not None:
             return [_csv_lines(tuple(zip(*rows)))]
     freqs = grid.frequencies()
     return [_csv_lines([c.tolist() for c in _columns(

@@ -12,9 +12,8 @@ vacuum on a beamsplitter and maps variances as ``v -> eta*v + (1 - eta)``.
 The scalar helpers (:func:`db_to_variance`, :func:`variance_to_db`,
 :func:`apply_loss`, :func:`check_efficiency`) take one number and use only
 :mod:`math`, so a loss budget or a sweep never imports numpy.
-:class:`SpectralCovariance` holds one number per element or arrays over
-frequency; one number is checked with :mod:`math` and :mod:`cmath`, an array
-with numpy, imported where it is called.  A check that fails names the first
+:class:`SpectralCovariance` works element-wise on arrays over frequency and
+imports numpy where its checks call it; a check that fails names the first
 offending element.
 
 Every passive stage maps S to M S M^dagger + I - M M^dagger, M multiplying
@@ -25,14 +24,10 @@ constructor and by ``chain.propagate``'s exit check; the transfer between
 skips the checks, and a NaN or inf carries through to the exit.
 """
 
-import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 
 _PSD_TOL = 1e-9  # is_positive_semidefinite's tolerance, relative to max(1, s11, s22)
-_NUMBER = (float, complex, int)  # the types of one plain number, worked on with math
-_NO_CONTEXT = contextlib.nullcontext()  # reusable: it holds no state
 
 
 class UnphysicalError(ValueError):
@@ -69,54 +64,13 @@ def db_to_variance(db):
 def _require(ok, values, message, error=UnphysicalError):
     """Raise error(message) with its {!r} filled by the first element of values where ok is false.
 
-    ok is a bool where values is one plain number, or a numpy bool array or
-    scalar over values; its own all() is several times cheaper than np.all
-    on the short arrays of a spectrum chunk.  ``sqzbudget spectrum`` checks a
-    grid of at most 2048 points one float at a time, without numpy; its
-    errors are named by the array path, which runs each check over the whole
-    grid before the next.
+    ok is a numpy bool or bool array; its own all() is several times cheaper
+    than np.all on the short arrays and scalars of a spectrum chunk.
     """
-    if ok is True:
-        return
-    if ok is False:
-        raise error(message.format(values))
     if not ok.all():
         import numpy as np
 
         raise error(message.format(np.extract(~ok, values)[0].item()))
-
-
-def _isfinite(x):
-    """Whether x is finite: a bool for one plain number, numpy's bool array otherwise."""
-    if type(x) in _NUMBER:
-        return cmath.isfinite(x)
-    import numpy as np
-
-    return np.isfinite(x)
-
-
-def _log10(x):
-    """log10 as numpy gives it: -inf at 0 and nan below, from math for one plain number."""
-    if type(x) in _NUMBER:
-        return math.log10(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
-    import numpy as np
-
-    return np.log10(x)
-
-
-def _quiet(x):
-    """A context in which arithmetic on x overflows to inf or nan without a warning.
-
-    For an array that is numpy's errstate.  Float arithmetic overflows without
-    a warning anyway (of what the kernels use, only ``**``, a division by zero
-    and abs() of a complex raise), so for one plain number it is a null
-    context and numpy stays out.
-    """
-    if type(x) in _NUMBER:
-        return _NO_CONTEXT
-    import numpy as np
-
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _variance(v):
@@ -158,17 +112,20 @@ class SpectralCovariance:
     s12: complex = 0j
 
     def __post_init__(self):
-        s11, s22, s12 = self.s11, self.s22, self.s12
-        _require(_isfinite(s11) & (s11 >= 0.0), s11, "s11 must be finite and >= 0, got {!r}")
-        _require(_isfinite(s22) & (s22 >= 0.0), s22, "s22 must be finite and >= 0, got {!r}")
-        _require(_isfinite(s12), s12, "s12 must be finite, got {!r}")
+        import numpy as np
 
-    def det(self):
-        return self.s11 * self.s22 - abs(self.s12) ** 2
+        for label, value in (("s11", self.s11), ("s22", self.s22)):
+            _require(np.isfinite(value) & (value >= 0.0), value,
+                     f"{label} must be finite and >= 0, got {{!r}}")
+        _require(np.isfinite(self.s12), self.s12, "s12 must be finite, got {!r}")
 
     def is_positive_semidefinite(self):
-        """True where S / max(1, s11, s22), free of overflow, is PSD within 1e-9 (element-wise)."""
-        if type(self.s11) in _NUMBER and type(self.s22) in _NUMBER:
+        """True where S / max(1, s11, s22), free of overflow, is PSD within 1e-9 (element-wise).
+
+        On two floats, as ``interferometer``'s one-chunk walk passes, the scale
+        is the builtin max, so numpy stays out.
+        """
+        if type(self.s11) is float and type(self.s22) is float:
             scale = max(1.0, self.s11, self.s22)  # np.maximum but at a nan, where both give False
         else:
             import numpy as np

@@ -52,8 +52,8 @@ import math
 import pathlib
 
 from .cavity import CavityParams
-from .chain import CATEGORIES, CAVITY_ROLES, CavityStage, FrequencyGrid, LossElement, Scenario
-from .quadcore import _UnreadField
+from .chain import CAVITY_ROLES, CavityStage, FrequencyGrid, LossElement, Scenario
+from .quadcore import UnphysicalError, _UnreadField
 from .source import SourceParams
 
 _MARKER = "@cavity"
@@ -182,12 +182,12 @@ def _build_losses(sections, cavities):
                 f"{name!r} is reserved for a cavity marker ({name} = {_MARKER})", lineno)
         value, _, category = rhs.partition("@")
         eta = _parse_float(value.strip(), lineno)
-        category = category.strip() or "other"
-        if category not in CATEGORIES:
-            raise ScenarioParseError(
-                f"unknown category {category!r}; expected one of {', '.join(CATEGORIES)}",
-                lineno)
-        stages.append(LossElement(name=name, eta=eta, category=category))
+        try:
+            stages.append(LossElement(name=name, eta=eta, category=category.strip() or "other"))
+        except UnphysicalError:  # an eta outside [0, 1]: exit 3, not a parse error
+            raise
+        except ValueError as exc:  # the category, or a name that cannot be read back
+            raise ScenarioParseError(str(exc), lineno) from None
     for name in cavities:
         if name not in table:
             raise ScenarioParseError(

@@ -19,9 +19,11 @@ Two source models are provided:
 Both states are pure, V- * V+ = 1, and the physical V- is the direct
 Lorentzian with v0 = ((1-x)/(1+x))^2 and half width gamma*(1+x).  So
 :class:`SourceParams` derives (v0, width) once, and :func:`generated_spectrum`
-returns diag(V-, 1/V-) with V- = 1 - (1 - v0)/(1 + (omega/width)^2).  The
-escape is the first loss of ``Scenario.chain()``, which both
-``chain.propagate`` and ``chain.build_budget`` walk.
+returns diag(V-, 1/V-) on an array of frequencies, with
+V- = 1 - (1 - v0)/(1 + (omega/width)^2) from :func:`_squeezed_variance`, which
+``interferometer``'s one-chunk walk calls on floats.  The escape is the first
+loss of ``Scenario.chain()``, which both ``chain.propagate`` and
+``chain.build_budget`` walk.
 """
 
 import math
@@ -116,13 +118,20 @@ class SourceParams:
         return -10.0 * math.log10(self._v0)
 
 
-def generated_spectrum(p, omega_hz):
-    """The OPA's pure state, before escape, at sideband omega_hz (a float or an array).
+def _squeezed_variance(p, omega_hz):
+    """V-, the OPA's squeezed variance at sideband omega_hz (a float or an array).
 
-    Far above the width u*u overflows to inf and the state to vacuum, its
-    limit: silently for a float, under np.errstate for an array.
+    Far above the width u*u overflows to inf and V- to 1, its limit: silently
+    for a float, under the caller's np.errstate for an array.
     """
     u = omega_hz / p._width
-    vm = 1.0 - (1.0 - p._v0) / (1.0 + u * u)
-    _require(vm > 0.0, omega_hz, "squeezed variance is not positive at {!r} Hz")
+    return 1.0 - (1.0 - p._v0) / (1.0 + u * u)
+
+
+def generated_spectrum(p, omega_hz):
+    """The OPA's pure state, before escape, at each sideband of the array omega_hz."""
+    import numpy as np
+
+    vm = _squeezed_variance(p, omega_hz)
+    _require(np.greater(vm, 0.0), omega_hz, "squeezed variance is not positive at {!r} Hz")
     return SpectralCovariance(vm, 1.0 / vm)

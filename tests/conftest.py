@@ -25,6 +25,11 @@ def matrix(s):
     return np.array([[s.s11, s.s12], [np.conj(s.s12), s.s22]], dtype=complex)
 
 
+def det(s):
+    """The determinant of the covariance s, element-wise: 1 for a pure state, more after loss."""
+    return s.s11 * s.s22 - abs(s.s12) ** 2
+
+
 def squeezed_state(db, theta):
     """Pure state R diag(v, 1/v) R^T, v = 10^(-db/10), squeezed along angle theta."""
     v = 10.0 ** (-db / 10.0)

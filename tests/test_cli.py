@@ -278,6 +278,26 @@ def test_cavity_length_beside_fsr_exits_2(tmp_path, capsys):
             "error: line 15: length_m is not read by a cavity whose fsr is given")
 
 
+def test_loss_name_that_cannot_be_read_back_exits_2_at_its_line(tmp_path, capsys):
+    # a key that starts with "[" is no section header; its line is named like any other
+    # refusal in [losses], and an eta outside [0, 1] still exits 3 first
+    text = pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8")
+    scn = tmp_path / "tabletop.scn"
+    for line, code, message in [
+        ("[isolator = 0.94 @ isolator_rotator",
+         2, "line 24: loss element name '[isolator' cannot be read back from a scenario"),
+        ("isolator = 0.94 @ rotator",
+         2, "line 24: unknown category 'rotator'; expected one of escape, mode_matching, "
+            "isolator_rotator, photodiode, intra_cavity, other"),
+        ("[isolator = 1.5 @ isolator_rotator",
+         3, "loss element '[isolator' must lie in [0, 1], got 1.5"),
+    ]:
+        scn.write_text(text.replace("isolator = 0.94 @ isolator_rotator", line), encoding="utf-8")
+        for command in ("budget", "spectrum"):
+            assert run([command, str(scn)]) == (code, "")
+            assert _only_error_line(capsys) == "error: " + message
+
+
 @pytest.mark.parametrize("fmax", ["200", "1e300"])
 def test_band_past_quarter_fsr_exits_3(fmax, capsys):
     # the 1.21 m tabletop cavities, 10 MHz detuned, hold up to ~21 MHz; past

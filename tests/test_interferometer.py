@@ -13,11 +13,9 @@ from sqzbudget.chain import (
     FrequencyGrid,
     LossElement,
     Scenario,
-    homodyne_readout,
     noise_db,
-    propagate,
 )
-from sqzbudget.interferometer import signal_gain, snr_spectrum
+from sqzbudget.interferometer import _spectrum_rows, signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, UnphysicalError, variance_to_db
 from sqzbudget.source import SourceParams
 
@@ -104,9 +102,9 @@ def test_snr_spectrum_takes_frequencies_in_any_order(tabletop):
     ns = snr_spectrum(tabletop, freqs)
     assert np.array_equal(ns.frequency_hz, freqs)
     for i, f in enumerate(freqs):
-        one = snr_spectrum(tabletop, f)  # one frequency gives floats
-        assert ns.noise_db[i] == pytest.approx(one.noise_db, rel=1e-13)
-        assert ns.signal_db[i] == pytest.approx(one.signal_db, rel=1e-13, abs=1e-15)
+        one = snr_spectrum(tabletop, f)  # one frequency gives a one-element array
+        assert ns.noise_db[i] == pytest.approx(one.noise_db[0], rel=1e-13)
+        assert ns.signal_db[i] == pytest.approx(one.signal_db[0], rel=1e-13, abs=1e-15)
     assert ns.noise_db[1] == ns.noise_db[3]
     assert ns.snr_improvement_db is ns.noise_db
 
@@ -161,11 +159,8 @@ def test_matched_filter_cancels_rotation_of_lossless_src(tabletop):
     src = matched.cavity_stage("src").params
     assert fc.hwhm() == pytest.approx(src.hwhm(), rel=1e-12)
     assert fc.detuning_hz == -src.detuning_hz
-    for f in matched.grid.frequencies():
-        with_cavities = homodyne_readout(propagate(matched, f), 0.0)
-        plain = homodyne_readout(propagate(cavityless, f), 0.0)
-        assert variance_to_db(with_cavities) == pytest.approx(
-            variance_to_db(plain), abs=0.01)
+    freqs = matched.grid.frequencies()
+    assert noise_db(matched, freqs) == pytest.approx(noise_db(cavityless, freqs), abs=0.01)
 
 
 def test_filter_cavity_earns_its_keep(tabletop):
@@ -173,9 +168,8 @@ def test_filter_cavity_earns_its_keep(tabletop):
         s for s in tabletop.stages
         if s.name != "filter_cavity"))
     freqs = tabletop.grid.frequencies()
-    with_db = [variance_to_db(homodyne_readout(propagate(tabletop, f), 0.0)) for f in freqs]
-    without_db = [variance_to_db(homodyne_readout(propagate(without_fc, f), 0.0))
-                  for f in freqs]
+    with_db = noise_db(tabletop, freqs)
+    without_db = noise_db(without_fc, freqs)
     # dropping the filter leaves the squeezing misrotated somewhere in band,
     # and the worst frequency is strictly worse than any point with it
     assert min(without_db) < min(with_db)
@@ -189,22 +183,23 @@ def _without_cavities(sc):
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum", "tabletop_without_cavities"])
 def test_chunked_spectrum_matches_scalar_path(name):
-    # the whole grid as one array against one float at a time; the CLI's chunk
-    # boundaries are pinned byte for byte in test_cli
+    # the whole grid as one array against the one-chunk walk, one float at a
+    # time; the CLI's chunk boundaries are pinned byte for byte in test_cli
     base, _, rest = name.partition("_")
     sc = load_bundled(base)
     if rest:
         sc = _without_cavities(sc)
     freqs = sc.grid.frequencies()
-    scalar = np.array([variance_to_db(homodyne_readout(propagate(sc, float(f)), sc.homodyne_angle))
-                       for f in freqs])
-    assert np.max(np.abs(noise_db(sc, freqs) - scalar)) <= 1e-12
+    mhz, noise, signal, snr = (np.array(c) for c in zip(*_spectrum_rows(sc, sc.grid)))
+    assert np.array_equal(mhz, freqs / 1e6) and np.array_equal(snr, noise)
     ns = snr_spectrum(sc, freqs)
-    assert np.max(np.abs(ns.noise_db - scalar)) <= 1e-12
-    if sc.cavity_stage("src") is not None:
-        signal = [10.0 * math.log10(signal_gain(sc.cavity_stage("src").params, f))
-                  for f in freqs]
-        assert np.max(np.abs(ns.signal_db - signal)) <= 1e-12
+    assert np.max(np.abs(ns.noise_db - noise)) <= 1e-12
+    assert np.max(np.abs(ns.signal_db - signal)) <= 1e-12
+    if sc.cavity_stage("src") is None:
+        assert not signal.any()
+    else:
+        gain = [signal_gain(sc.cavity_stage("src").params, f) for f in freqs.tolist()]
+        assert np.max(np.abs(signal - [10.0 * math.log10(g) for g in gain])) <= 1e-12
 
 
 def test_spectrum_refuses_past_quarter_fsr(tabletop):

@@ -1,15 +1,17 @@
 """``budget``, ``sweep`` and a one-chunk ``spectrum`` run on floats alone: numpy stays out, the numbers stay put.
 
 The guard runs each command in a fresh ``python -W error`` interpreter and
-reads ``sys.modules`` afterwards.  ``spectrum`` walks a grid of at most
-``cli.CHUNK_POINTS`` (2048) points one float at a time; a longer grid, or one
-whose float walk raises, is computed on numpy arrays, and that array path
+reads ``sys.modules`` afterwards.  The library's spectrum kernels work on
+numpy arrays; ``spectrum`` on a grid of at most ``cli.CHUNK_POINTS`` (2048)
+points is one walk over plain floats with :mod:`math`
+(``interferometer._spectrum_rows``), which names no error: a longer grid, or
+one on which the walk gives up, is computed on arrays, and that array path
 names every error.  The differentials hold the math-only paths to the numpy
 formulas they stand in for: the sweep grid to ``numpy.linspace`` value for
 value, the printed dB values digit for digit (``math.log10`` and
-``numpy.log10`` differ in the last ulp on some inputs), and the float walk
-of ``spectrum`` to its array path on seeded generated chains, by exit code,
-stdout and the stderr line.
+``numpy.log10`` differ in the last ulp on some inputs), and the walk of
+``spectrum`` to its array path on seeded generated chains and on edits that
+reach each of its checks, by exit code, stdout and the stderr line.
 """
 
 import ast
@@ -24,6 +26,7 @@ import pytest
 
 import corpus
 import sqzbudget
+from sqzbudget import interferometer
 from sqzbudget.chain import FrequencyGrid, _linspace, efficiency_sweep, propagate
 from sqzbudget.cli import CHUNK_POINTS, _csv_lines
 from sqzbudget.interferometer import snr_spectrum
@@ -89,23 +92,26 @@ def test_cold_spectrum_of_one_chunk_leaves_numpy_out(name, golden_dir):
 
 
 class _Walks:
-    """Records how cmd_spectrum reads its grid: True for the float walk, False for arrays.
+    """Records how cmd_spectrum reads its grid: True for the walk, False for arrays.
 
-    With ``float_walk=False`` the float walk raises at once, so the grid is
-    computed on the array path alone, as after any float walk that raises.
+    With ``walk=False`` the walk gives up at once, so the grid is computed on
+    the array path alone, as after any walk that gives up.
     """
 
-    def __init__(self, monkeypatch, float_walk=True):
+    def __init__(self, monkeypatch, walk=True):
         self.calls = []
-        frequencies = FrequencyGrid.frequencies
+        rows, frequencies = interferometer._spectrum_rows, FrequencyGrid.frequencies
 
-        def recorded(grid, floats=False):
-            self.calls.append(floats)
-            if floats and not float_walk:
-                raise ValueError("the float walk is off")
-            return frequencies(grid, floats)
+        def walked(sc, grid):
+            self.calls.append(True)
+            return rows(sc, grid) if walk else None
 
-        monkeypatch.setattr(FrequencyGrid, "frequencies", recorded)
+        def arrays(grid):
+            self.calls.append(False)
+            return frequencies(grid)
+
+        monkeypatch.setattr(interferometer, "_spectrum_rows", walked)
+        monkeypatch.setattr(FrequencyGrid, "frequencies", arrays)
 
     def run(self, argv):
         self.calls.clear()
@@ -122,6 +128,26 @@ def test_spectrum_either_side_of_one_chunk_prints_the_array_csv(points, tabletop
     assert calls == ((True,) if points <= CHUNK_POINTS else (False,))
 
 
+# tabletop edits that each reach one check of the walk, and exit 3 with its own message
+EDGES = [
+    # the top point sits exactly at the filter cavity's fsr/4
+    (("detuning_mhz = -10\nlength_m = 1.21", "detuning_mhz = 0\nfsr_mhz = 40"),
+     ("fmax_mhz = 15\npoints = 201", "fmax_mhz = 10\npoints = 21")),
+    # v0 underflows to 0, and so does V- at the bottom point
+    (("gen_db_at_dc = 5.7", "gen_db_at_dc = 4000"), ("fmin_mhz = 5", "fmin_mhz = 1e-14")),
+    # hwhm^2 underflows, and the signal gain with it
+    (("t_in = 0.1\nloss_rt = 0.003\ndetuning_mhz = 10\nlength_m = 1.21", "hwhm_mhz = 1e-166"),),
+    # omega/hwhm overflows, and the covariance leaves float range
+    (("t_in = 0.1\ndetuning_mhz = -10\nlength_m = 1.21", "hwhm_mhz = 1e-320"),),
+]
+EDGE_ERRORS = [
+    "error: filter_cavity: 10000000.0 Hz plus |detuning| is past fsr/4\n",
+    "error: squeezed variance is not positive at 1e-08 Hz\n",
+    "error: src cavity signal gain underflows at 5000000.0 Hz\n",
+    "error: propagated covariance is not finite at 5000000.0 Hz\n",
+]
+
+
 def test_float_walk_prints_what_the_array_path_prints(tmp_path, monkeypatch):
     # corpus chains of every shape, on their own 21-point grids and on
     # 401-point bands, many of which reach past a cavity's fsr/4
@@ -131,11 +157,21 @@ def test_float_walk_prints_what_the_array_path_prints(tmp_path, monkeypatch):
         path = tmp_path / f"gen{i:02d}.scn"
         path.write_text(corpus.generated_scenario(rng, i), encoding="utf-8")
         argvs += [["spectrum", str(path)], ["spectrum", str(path), *corpus._band(band_rng)]]
+    tabletop = pathlib.Path(bundled_scenario_path("tabletop")).read_text(encoding="utf-8")
+    for i, edits in enumerate(EDGES):
+        text = tabletop
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / f"edge{i}.scn"
+        path.write_text(text, encoding="utf-8")
+        argvs.append(["spectrum", str(path)])
     with monkeypatch.context() as patch:
         walked = [_Walks(patch).run(argv) for argv in argvs]
     with monkeypatch.context() as patch:
-        arrays = [_Walks(patch, float_walk=False).run(argv) for argv in argvs]
+        arrays = [_Walks(patch, walk=False).run(argv) for argv in argvs]
     assert [w[:3] for w in walked] == [a[:3] for a in arrays]
+    assert [w[:3] for w in walked[-len(EDGES):]] == [(3, "", err) for err in EDGE_ERRORS]
     # a chain that passes never needs the arrays; one that fails is named by them
     assert {w[3] for w in walked if w[0] == 0} == {(True,)}
     assert {w[3] for w in walked if w[0] != 0} == {(True, False)}
@@ -156,8 +192,9 @@ def test_two_cavities_past_fsr4_name_the_array_paths_error(tmp_path):
             + "[grid]\nfmin_mhz = 1.755\nfmax_mhz = 14.946\npoints = 21\n")
     sc = parse_scenario(text)
     with pytest.raises(UnphysicalError, match="^src: "):  # one frequency at a time
-        for f in sc.grid.frequencies(floats=True):
+        for f in sc.grid.frequencies():
             propagate(sc, f)
+    assert interferometer._spectrum_rows(sc, sc.grid) is None  # the walk names nothing
     path = tmp_path / "two.scn"
     path.write_text(text, encoding="utf-8")
     assert corpus.run(["spectrum", str(path)]) == (
