@@ -149,7 +149,7 @@ def test_propagate_checks_frequency_domain(tabletop):
 
 
 def test_propagate_far_above_the_source_bandwidth_is_vacuum():
-    # (omega/bandwidth)^2 overflows to inf, whose limit is vacuum, for a Python float too
+    # (omega/bandwidth)^2 overflows to inf, whose limit is vacuum, for one frequency too
     direct = SourceParams(mode="direct", gen_db_at_dc=6.0, bandwidth_hz=20 * MHZ, escape_eta=0.9)
     physical = SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=20 * MHZ,
                             t_out=0.1, loss_rt=0.01)
