@@ -32,15 +32,13 @@ omega as a scalar or a 1-D array and works element-wise.
 """
 
 import math
-from dataclasses import dataclass
 
-from .quadcore import UnphysicalError, _UnreadField, _apply_pair
+from .quadcore import UnphysicalError, _Frozen, _UnreadField, _apply_pair
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(_Frozen):
     """Physical description of a single-ended cavity.
 
     ``t_in`` is the input-coupler power transmission, ``loss_rt`` the
@@ -52,8 +50,8 @@ class CavityParams:
     alone); a derived rate of 0 or inf is refused.  A given ``fsr_hz``
     leaves ``length_m`` unread, so the two together are refused.  A lossy
     cavity needs ``t_in`` to fix its coupling ratio.
-    ``dataclasses.replace`` derives the rates again, and ``==`` compares
-    the given fields.
+    A changed copy built through the constructor derives the rates again,
+    and ``==`` compares the given fields.
     """
 
     t_in: float | None = None
@@ -63,7 +61,10 @@ class CavityParams:
     fsr_hz: float | None = None
     hwhm_hz: float | None = None
 
-    def __post_init__(self):
+    def __init__(self, t_in=None, loss_rt=0.0, detuning_hz=0.0, length_m=None, fsr_hz=None,
+                 hwhm_hz=None):
+        self.__dict__.update(t_in=t_in, loss_rt=loss_rt, detuning_hz=detuning_hz,
+                             length_m=length_m, fsr_hz=fsr_hz, hwhm_hz=hwhm_hz)
         if self.length_m is not None and self.fsr_hz is not None:
             raise _UnreadField("length_m", "a cavity whose fsr is given")
         if self.t_in is not None and not 0.0 <= self.t_in <= 1.0:
@@ -91,11 +92,9 @@ class CavityParams:
         for label, value in (("fsr", fsr), ("hwhm", hwhm)):
             if value is not None and not 0.0 < value < math.inf:
                 raise UnphysicalError(f"derived {label} must be positive and finite, got {value!r}")
-        object.__setattr__(self, "_fsr", fsr)
-        object.__setattr__(self, "_hwhm", hwhm)
-        # the fraction of the total decay rate that goes through the input coupler
-        object.__setattr__(self, "_coupling",
-                           1.0 if self.loss_rt == 0.0 else self.t_in / (self.t_in + self.loss_rt))
+        # _coupling: the fraction of the total decay rate that goes through the input coupler
+        self.__dict__.update(_fsr=fsr, _hwhm=hwhm, _coupling=(
+            1.0 if self.loss_rt == 0.0 else self.t_in / (self.t_in + self.loss_rt)))
 
     def fsr(self):
         """Free spectral range in Hz, given or from the length; None without either."""

@@ -13,11 +13,11 @@ as a one-element array; the budget and the sweep are arithmetic on floats.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from . import cavity as _cavity
 from .quadcore import (
     _apply_pair,
+    _Frozen,
     _require,
     apply_loss,
     check_efficiency,
@@ -39,15 +39,15 @@ CATEGORIES = (
 CAVITY_ROLES = ("filter_cavity", "src")
 
 
-@dataclass(frozen=True)
-class LossElement:
+class LossElement(_Frozen):
     """A named, categorized power efficiency in the squeezed-field path."""
 
     name: str
     eta: float
     category: str = "other"
 
-    def __post_init__(self):
+    def __init__(self, name, eta, category="other"):
+        self.__dict__.update(name=name, eta=eta, category=category)
         # the category first, so that a [losses] line refuses it (exit 2) before its eta (exit 3)
         if self.category not in CATEGORIES:
             raise ValueError(
@@ -59,25 +59,25 @@ class LossElement:
             raise ValueError(f"loss element name {name!r} cannot be read back from a scenario")
 
 
-@dataclass(frozen=True)
-class CavityStage:
+class CavityStage(_Frozen):
     """A detuned cavity in the chain, named by one of CAVITY_ROLES."""
 
     name: str
     params: _cavity.CavityParams
 
-    def __post_init__(self):
+    def __init__(self, name, params):
+        self.__dict__.update(name=name, params=params)
         if self.name not in CAVITY_ROLES:
             raise ValueError(f"cavity name must be one of {CAVITY_ROLES}, got {self.name!r}")
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(_Frozen):
     fmin_hz: float
     fmax_hz: float
     points: int
 
-    def __post_init__(self):
+    def __init__(self, fmin_hz, fmax_hz, points):
+        self.__dict__.update(fmin_hz=fmin_hz, fmax_hz=fmax_hz, points=points)
         if not (math.isfinite(self.fmin_hz) and math.isfinite(self.fmax_hz)):
             raise ValueError(
                 f"grid bounds must be finite, got [{self.fmin_hz!r}, {self.fmax_hz!r}] Hz")
@@ -109,18 +109,18 @@ class FrequencyGrid:
         return f
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """Immutable description of one propagation experiment."""
 
     name: str
     source: SourceParams
     stages: tuple = ()
     homodyne_angle: float = 0.0
-    grid: FrequencyGrid = field(default_factory=lambda: FrequencyGrid(5e6, 15e6, 201))
+    grid: FrequencyGrid = FrequencyGrid(5e6, 15e6, 201)
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
+    def __init__(self, name, source, stages=(), homodyne_angle=0.0, grid=grid):
+        self.__dict__.update(name=name, source=source, stages=tuple(stages),
+                             homodyne_angle=homodyne_angle, grid=grid)
         if not math.isfinite(self.homodyne_angle):
             raise ValueError(f"homodyne_angle must be finite, got {self.homodyne_angle!r}")
         chain = (LossElement("escape", self.source.escape(), "escape"), *self.stages)
@@ -130,13 +130,12 @@ class Scenario:
             if s.name in names:
                 raise ValueError(f"stage {s.name!r} appears twice in the chain")
             names.add(s.name)
-        object.__setattr__(self, "_chain", chain)
-        # the efficiency that propagate applies and build_budget totals
-        object.__setattr__(self, "_eta", math.prod(
-            s.eta for s in chain if isinstance(s, LossElement)))
-        # the cavities by name, in chain order: propagate multiplies in each reflection
-        object.__setattr__(self, "_cavities", {
-            s.name: s for s in chain if isinstance(s, CavityStage)})
+        # _eta: the efficiency that propagate applies and build_budget totals;
+        # _cavities: the cavities by name, in chain order, whose reflections propagate multiplies
+        self.__dict__.update(
+            _chain=chain,
+            _eta=math.prod(s.eta for s in chain if isinstance(s, LossElement)),
+            _cavities={s.name: s for s in chain if isinstance(s, CavityStage)})
 
     def cavity_stage(self, name):
         """The cavity stage of this name, "filter_cavity" or "src", or None."""
@@ -247,8 +246,7 @@ def efficiency_sweep(input_db, eta_min, eta_max, n):
     return [(eta, variance_to_db(apply_loss(v_in, eta))) for eta in _linspace(eta_min, eta_max, n)]
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(_Frozen):
     """Loss budget of a scenario: per-element rows, category subtotals, totals.
 
     The rows are the LossElements of ``Scenario.chain()``, escape first; the
@@ -261,6 +259,10 @@ class BudgetReport:
     total: float
     input_db: float
     output_db: float
+
+    def __init__(self, scenario, rows, subtotals, total, input_db, output_db):
+        self.__dict__.update(scenario=scenario, rows=rows, subtotals=subtotals, total=total,
+                             input_db=input_db, output_db=output_db)
 
 
 def build_budget(sc):

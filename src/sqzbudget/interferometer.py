@@ -21,11 +21,10 @@ and leaves that path to name the error.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import chain as _chain
 from .cavity import reflection
-from .quadcore import _apply_pair, _require, _unchecked
+from .quadcore import _apply_pair, _Frozen, _require, _unchecked
 from .source import _squeezed_variance
 
 
@@ -41,8 +40,7 @@ def signal_gain(p, omega_hz):
     return h * h / (h * h + d * d)
 
 
-@dataclass(frozen=True)
-class NoiseSpectrum:
+class NoiseSpectrum(_Frozen):
     """Per-frequency noise (dB relative to shot), signal gain, and SNR gain.
 
     noise_db and snr_improvement_db are positive below shot noise;
@@ -52,6 +50,9 @@ class NoiseSpectrum:
     frequency_hz: "np.ndarray"  # quoted: the module loads without numpy
     noise_db: "np.ndarray"
     signal_db: "np.ndarray"
+
+    def __init__(self, frequency_hz, noise_db, signal_db):
+        self.__dict__.update(frequency_hz=frequency_hz, noise_db=noise_db, signal_db=signal_db)
 
     @property
     def snr_improvement_db(self):

@@ -25,7 +25,6 @@ skips the checks, and a NaN or inf carries through to the exit.
 """
 
 import math
-from dataclasses import dataclass
 
 _PSD_TOL = 1e-9  # is_positive_semidefinite's tolerance, relative to max(1, s11, s22)
 
@@ -56,9 +55,12 @@ def db_to_variance(db):
     if not math.isfinite(db):
         raise UnphysicalError(f"squeezing depth must be finite, got {db!r}")
     try:
-        return 10.0 ** (-db / 10.0)
+        v = 10.0 ** (-db / 10.0)
     except OverflowError:
         raise UnphysicalError(f"squeezing depth {db!r} dB has no finite variance") from None
+    if v == 0.0:  # past ~3,233 dB
+        raise UnphysicalError(f"squeezing depth {db!r} dB has a variance too small for a float")
+    return v
 
 
 def _require(ok, values, message, error=UnphysicalError):
@@ -93,8 +95,38 @@ def apply_loss(v, eta):
     return eta * v + (1.0 - eta)
 
 
-@dataclass(frozen=True)
-class SpectralCovariance:
+class _Frozen:
+    """Base of the package's value classes, whose fields are the class's annotations, in order.
+
+    As a frozen dataclass would: an instance refuses attribute assignment, and
+    ``==``, ``hash`` and ``repr`` read the fields (``==`` only between objects
+    of one class).  Each subclass's ``__init__`` stores its fields with one
+    ``self.__dict__.update``.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__annotations__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class SpectralCovariance(_Frozen):
     """Hermitian 2x2 quadrature noise spectral density at one or many sideband frequencies.
 
     ``s11`` and ``s22`` are the amplitude and phase quadrature variances,
@@ -111,13 +143,14 @@ class SpectralCovariance:
     s22: float
     s12: complex = 0j
 
-    def __post_init__(self):
+    def __init__(self, s11, s22, s12=0j):
         import numpy as np
 
-        for label, value in (("s11", self.s11), ("s22", self.s22)):
+        self.__dict__.update(s11=s11, s22=s22, s12=s12)
+        for label, value in (("s11", s11), ("s22", s22)):
             _require(np.isfinite(value) & (value >= 0.0), value,
                      f"{label} must be finite and >= 0, got {{!r}}")
-        _require(np.isfinite(self.s12), self.s12, "s12 must be finite, got {!r}")
+        _require(np.isfinite(s12), s12, "s12 must be finite, got {!r}")
 
     def is_positive_semidefinite(self):
         """True where S / max(1, s11, s22), free of overflow, is PSD within 1e-9 (element-wise).

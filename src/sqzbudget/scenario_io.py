@@ -47,7 +47,6 @@ Example::
     points = 201
 """
 
-import dataclasses
 import math
 import pathlib
 
@@ -57,6 +56,7 @@ from .quadcore import UnphysicalError, _UnreadField
 from .source import SourceParams
 
 _MARKER = "@cavity"
+_MISSING = object()  # the default of a field that has none
 
 
 class ScenarioParseError(ValueError):
@@ -85,8 +85,14 @@ def _parse_int(text, line):
         raise ScenarioParseError(f"expected an integer, got {text!r}", line) from None
 
 
-def _parse_mhz(text, line):
-    return _parse_float(text, line) * 1e6
+def _parse_mhz(key):
+    """The parser of a ``*_mhz`` key: a number in MHz as Hz, refused where that is not finite."""
+    def parse(text, line):
+        hz = _parse_float(text, line) * 1e6
+        if math.isinf(hz):
+            raise ScenarioParseError(f"{key} = {text} is past float range in Hz", line)
+        return hz
+    return parse
 
 
 def _parse_text(text, line):
@@ -99,16 +105,20 @@ def _key(name):
 
 
 def _schema(cls, names=None):
-    """File key -> (field name, value parser, default) for the fields of cls, or those named."""
+    """File key -> (field name, value parser, default) for the fields of cls, or those named.
+
+    The fields are the class's annotations; a field's default is the class attribute of its
+    name, or _MISSING.
+    """
     parsers = {str: _parse_text, int: _parse_int}
     return {
-        _key(f.name): (
-            f.name,
-            _parse_mhz if f.name.endswith("_hz") else parsers.get(f.type, _parse_float),
-            f.default,
+        _key(name): (
+            name,
+            _parse_mhz(_key(name)) if name.endswith("_hz") else parsers.get(kind, _parse_float),
+            vars(cls).get(name, _MISSING),
         )
-        for f in dataclasses.fields(cls)
-        if names is None or f.name in names
+        for name, kind in cls.__annotations__.items()
+        if names is None or name in names
     }
 
 
@@ -158,7 +168,7 @@ def _read_section(section, sections):
         if key not in schema:
             raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
     for key, (_, _, default) in schema.items():
-        if default is dataclasses.MISSING and key not in table:
+        if default is _MISSING and key not in table:
             raise ScenarioParseError(f"[{section}] needs {key}", header)
     return {name: parse(*table[key]) for key, (name, parse, _) in schema.items() if key in table}
 

@@ -27,9 +27,8 @@ loss of ``Scenario.chain()``, which both ``chain.propagate`` and
 """
 
 import math
-from dataclasses import dataclass
 
-from .quadcore import (SpectralCovariance, UnphysicalError, _require, _UnreadField,
+from .quadcore import (SpectralCovariance, UnphysicalError, _Frozen, _require, _UnreadField,
                        check_efficiency, db_to_variance)
 
 PUMP_PARAMETER_LIMIT = 0.99  # V_plus diverges as x -> 1
@@ -58,8 +57,7 @@ def pump_parameter(classical_gain):
     return 1.0 - 1.0 / math.sqrt(classical_gain)
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(_Frozen):
     """OPA description: squeezing strength, escape, and bandwidth.
 
     mode is "direct" or "physical".  The escape efficiency may be given directly
@@ -76,7 +74,11 @@ class SourceParams:
     loss_rt: float | None = None
     escape_eta: float | None = None
 
-    def __post_init__(self):
+    def __init__(self, mode, bandwidth_hz, gen_db_at_dc=None, classical_gain=None, t_out=None,
+                 loss_rt=None, escape_eta=None):
+        self.__dict__.update(mode=mode, bandwidth_hz=bandwidth_hz, gen_db_at_dc=gen_db_at_dc,
+                             classical_gain=classical_gain, t_out=t_out, loss_rt=loss_rt,
+                             escape_eta=escape_eta)
         if self.mode not in ("direct", "physical"):
             raise ValueError(f'source mode must be "direct" or "physical", got {self.mode!r}')
         escape = "escape_eta" if self.escape_eta is not None else "t_out and loss_rt"
@@ -105,7 +107,7 @@ class SourceParams:
                 raise UnphysicalError(f"derived source width must be finite, got {width!r}")
         eta = (escape_efficiency(self.t_out, self.loss_rt) if self.escape_eta is None
                else check_efficiency(self.escape_eta, "escape_eta"))
-        self.__dict__.update(_escape=eta, _v0=v0, _width=width)  # frozen: no setattr
+        self.__dict__.update(_escape=eta, _v0=v0, _width=width)
 
     def escape(self):
         """Escape efficiency, from escape_eta or the coupler/loss pair."""

@@ -20,6 +20,15 @@ def load_bundled(name):
     return parse_scenario(path.read_text(encoding="utf-8"), name=name)
 
 
+def replace(obj, **changes):
+    """A copy of obj with the given fields changed, built through its constructor.
+
+    So the constructor's checks, and the rates or the chain it derives, run again.
+    """
+    fields = {name: getattr(obj, name) for name in type(obj).__annotations__}
+    return type(obj)(**(fields | changes))
+
+
 def matrix(s):
     """The covariance s at one frequency as a 2x2 complex ndarray."""
     return np.array([[s.s11, s.s12], [np.conj(s.s12), s.s22]], dtype=complex)

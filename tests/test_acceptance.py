@@ -6,7 +6,6 @@ checklist.  Tolerances are fixed here on purpose; loosening them to make a
 failing build green defeats the point of the gate.
 """
 
-import dataclasses
 import io
 import math
 
@@ -26,7 +25,7 @@ from sqzbudget.interferometer import signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, apply_loss, db_to_variance, variance_to_db
 from sqzbudget.source import SourceParams, escape_efficiency
 
-from conftest import det, ellipse_angle
+from conftest import det, ellipse_angle, replace
 
 MHZ = 1e6
 
@@ -129,7 +128,7 @@ def test_criterion_6_property_suite(tabletop):
             assert det(s) >= 1.0 - 1e-9
 
     # vacuum is a fixed point of the full golden chain
-    shot = dataclasses.replace(
+    shot = replace(
         tabletop.source, mode="direct", gen_db_at_dc=0.0, classical_gain=None)
     vac_sc = Scenario("vac", shot, tabletop.stages, grid=tabletop.grid)
     for f in tabletop.grid.frequencies()[::40]:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -18,7 +17,7 @@ from sqzbudget.chain import CavityStage, Scenario, propagate
 from sqzbudget.quadcore import SpectralCovariance, UnphysicalError
 from sqzbudget.source import SourceParams
 
-from conftest import det, ellipse_angle, matrix, squeezed_state
+from conftest import det, ellipse_angle, matrix, replace, squeezed_state
 
 MHZ = 1e6
 
@@ -60,11 +59,11 @@ def test_replace_derives_rates_again():
     p = CavityParams(t_in=0.1, length_m=1.21)
     # the fields keep what was given; the derived rates live apart from them
     assert (p.fsr_hz, p.hwhm_hz) == (None, None)
-    longer = dataclasses.replace(p, length_m=2.42)
+    longer = replace(p, length_m=2.42)
     assert longer == CavityParams(t_in=0.1, length_m=2.42)
     assert longer.fsr() == SPEED_OF_LIGHT / (2.0 * 2.42)
     assert longer.hwhm() == pytest.approx(519389.9987282234, rel=1e-13)
-    assert dataclasses.replace(p, loss_rt=0.003).hwhm() == pytest.approx(
+    assert replace(p, loss_rt=0.003).hwhm() == pytest.approx(
         1068409.4727756338, rel=1e-13)
 
 

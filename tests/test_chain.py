@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -28,7 +27,7 @@ from sqzbudget.quadcore import (
 )
 from sqzbudget.source import SourceParams, generated_spectrum
 
-from conftest import det, loss, matrix
+from conftest import det, loss, matrix, replace
 
 MHZ = 1e6
 
@@ -163,8 +162,8 @@ def test_propagate_far_above_the_source_bandwidth_is_vacuum():
 def test_propagate_keeps_a_huge_finite_state(tabletop):
     # 2000 dB of anti-squeezing at DC gives variances near 1e200, whose determinant
     # overflows; positivity is judged on the scaled covariance, which does not
-    source = dataclasses.replace(tabletop.source, gen_db_at_dc=-2000.0)
-    s = propagate(dataclasses.replace(tabletop, source=source), np.array([5.0, 10.0, 15.0]) * MHZ)
+    source = replace(tabletop.source, gen_db_at_dc=-2000.0)
+    s = propagate(replace(tabletop, source=source), np.array([5.0, 10.0, 15.0]) * MHZ)
     assert np.all(s.s11 > 1e190) and np.all(s.is_positive_semidefinite())
 
 
@@ -206,7 +205,7 @@ def test_propagate_and_budget_walk_one_chain(name, request, monkeypatch):
     if name == "physical":  # its escape is set by the coupler/loss pair
         source = SourceParams(mode="physical", classical_gain=10.0, bandwidth_hz=20 * MHZ,
                               t_out=0.1, loss_rt=0.01)
-        sc = dataclasses.replace(request.getfixturevalue("tabletop"), source=source)
+        sc = replace(request.getfixturevalue("tabletop"), source=source)
     else:
         sc = request.getfixturevalue(name)
     real = chain._apply_pair
@@ -280,7 +279,7 @@ def test_frequency_independent_stages_commute(tabletop):
     # with M = sqrt(eta)*I or d*I + o*[[0, 1], [-1, 0]], and all such M commute
     def same_spectrum(sc, stages):
         freqs = sc.grid.frequencies()
-        moved = chain.noise_db(dataclasses.replace(sc, stages=tuple(stages)), freqs)
+        moved = chain.noise_db(replace(sc, stages=tuple(stages)), freqs)
         assert np.max(np.abs(moved - chain.noise_db(sc, freqs))) <= 1e-12
 
     rng = random.Random("stage order")
@@ -405,12 +404,12 @@ def test_budget_output_consistent_with_sweep(tabletop):
 
 
 def test_scenario_replace_keeps_stages(tabletop):
-    # dataclasses.replace round-trips the frozen scenario
-    clone = dataclasses.replace(tabletop)
+    # replace round-trips the frozen scenario
+    clone = replace(tabletop)
     assert clone == tabletop
     # the chain is built once, and rebuilt by replace from the new source's escape
     assert tabletop.chain() is tabletop.chain()
-    source = dataclasses.replace(tabletop.source, escape_eta=0.5)
-    chain = dataclasses.replace(tabletop, source=source).chain()
+    source = replace(tabletop.source, escape_eta=0.5)
+    chain = replace(tabletop, source=source).chain()
     assert chain[0] == LossElement("escape", 0.5, "escape")
     assert chain[1:] == tabletop.stages

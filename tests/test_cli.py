@@ -326,17 +326,28 @@ def _tabletop_with(tmp_path, old, new):
     return str(scn)
 
 
-def test_squeezing_depth_without_finite_variance_exits_3(tmp_path, capsys):
-    # -1e5 dB is 1e10000 in variance, beyond float range
-    scn = _tabletop_with(tmp_path, "gen_db_at_dc = 5.7", "gen_db_at_dc = -1e5")
-    message = "error: squeezing depth -100000.0 dB has no finite variance"
-    for argv in (["budget", scn], ["spectrum", scn], ["sweep", "--input-db=-1e5"]):
+def _depth_exits_3_everywhere(tmp_path, capsys, db, message):
+    """budget and spectrum of tabletop at gen_db_at_dc = db and sweep at db exit 3 with message."""
+    scn = _tabletop_with(tmp_path, "gen_db_at_dc = 5.7", f"gen_db_at_dc = {db}")
+    for argv in (["budget", scn], ["spectrum", scn], ["sweep", f"--input-db={db}"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, text = run(argv)
         assert code == 3
         assert text == ""
         assert _only_error_line(capsys) == message
+
+
+def test_squeezing_depth_without_finite_variance_exits_3(tmp_path, capsys):
+    # -1e5 dB is 1e10000 in variance, beyond float range
+    _depth_exits_3_everywhere(tmp_path, capsys, "-1e5",
+                              "error: squeezing depth -100000.0 dB has no finite variance")
+
+
+def test_squeezing_depth_without_nonzero_variance_exits_3(tmp_path, capsys):
+    # 4000 dB is 1e-400 in variance, below float range: one verdict from all three commands
+    message = "error: squeezing depth 4000.0 dB has a variance too small for a float"
+    _depth_exits_3_everywhere(tmp_path, capsys, "4000", message)
 
 
 def test_coupling_below_double_precision_exits_3(tmp_path, capsys):

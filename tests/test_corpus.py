@@ -64,4 +64,4 @@ def test_corpus_outputs_match_reference_model(outputs):
         if why is not None:
             mismatches.append(f"{' '.join(argv)}: {why}")
     assert mismatches == []
-    assert checked == 739  # every budget and spectrum of the corpus that exits 0
+    assert checked == 737  # every budget and spectrum of the corpus that exits 0

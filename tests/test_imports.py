@@ -1,7 +1,8 @@
 """Every imported name is used in the file that imports it, every
 module-level private name of the package is read by some package module,
-every public name is read by some code that is not a test, and no package
-module imports numpy when it loads.
+every public name is read by some code that is not a test, no package
+module imports numpy or dataclasses when it loads, and each value class's
+``__init__`` takes its annotated fields with their defaults.
 
 No linter is a dependency, so this is a small stdlib ``ast`` scan over the
 package, the tests and the scripts.  A name that a module lists in
@@ -10,11 +11,16 @@ scanned like any other import.
 """
 
 import ast
+import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import sqzbudget
+from sqzbudget.quadcore import _Frozen
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -150,7 +156,33 @@ def test_scan_finds_a_load_time_import():
 
 
 def test_no_package_module_imports_numpy_when_it_loads():
-    # numpy loads only inside the array functions, so budget and sweep start without it
-    found = {path.name: load_time_imports(ast.parse(path.read_text(encoding="utf-8")), "numpy")
-             for path in PACKAGE}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    # numpy loads only inside the array functions, so budget and sweep start without it;
+    # dataclasses (with inspect) would cost every cold command ~20 ms
+    for module in ("numpy", "dataclasses"):
+        found = {path.name: load_time_imports(ast.parse(path.read_text(encoding="utf-8")), module)
+                 for path in PACKAGE}
+        assert {name: lines for name, lines in found.items() if lines} == {}, module
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the modules that import sqzbudget.cli adds, so that what site loads does not count
+    code = ("import sys; before = set(sys.modules); import sqzbudget.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_value_class_init_takes_its_fields():
+    # each __init__ is written out beside the annotations; the two must not drift apart
+    classes = _Frozen.__subclasses__()
+    assert sorted(c.__name__ for c in classes) == [
+        "BudgetReport", "CavityParams", "CavityStage", "FrequencyGrid", "LossElement",
+        "NoiseSpectrum", "Scenario", "SourceParams", "SpectralCovariance"]
+    for cls in classes:
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [p.name for p in params] == list(cls.__annotations__), cls
+        assert {p.name: p.default for p in params if p.default is not p.empty} == {
+            name: vars(cls)[name] for name in cls.__annotations__ if name in vars(cls)}, cls

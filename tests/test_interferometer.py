@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -19,7 +18,7 @@ from sqzbudget.interferometer import _spectrum_rows, signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, UnphysicalError, variance_to_db
 from sqzbudget.source import SourceParams
 
-from conftest import load_bundled, matrix
+from conftest import load_bundled, matrix, replace
 
 MHZ = 1e6
 
@@ -110,7 +109,7 @@ def test_snr_spectrum_takes_frequencies_in_any_order(tabletop):
 
 
 def test_snr_spectrum_without_recycling_stage_has_flat_signal(tabletop):
-    bare = dataclasses.replace(tabletop, stages=tuple(
+    bare = replace(tabletop, stages=tuple(
         s for s in tabletop.stages if isinstance(s, LossElement)))
     freqs = [5 * MHZ, 10 * MHZ, 14 * MHZ]
     ns = snr_spectrum(bare, freqs)
@@ -137,22 +136,22 @@ def test_vacuum_scenario_improves_nothing(vacuum_scenario):
 def test_signal_column_ignores_the_source(tabletop):
     freqs = tabletop.grid.frequencies()[::10]
     squeezed = snr_spectrum(tabletop, freqs)
-    pump_off = dataclasses.replace(
+    pump_off = replace(
         tabletop.source, mode="direct", gen_db_at_dc=0.0, classical_gain=None)
-    dark = snr_spectrum(dataclasses.replace(tabletop, source=pump_off), freqs)
+    dark = snr_spectrum(replace(tabletop, source=pump_off), freqs)
     assert np.array_equal(squeezed.signal_db, dark.signal_db)
 
 
 def _lossless_variant(tabletop):
     """Same chain but with a lossless recycling cavity (matched to the filter)."""
-    return dataclasses.replace(tabletop, stages=tuple(
-        CavityStage("src", dataclasses.replace(s.params, loss_rt=0.0))
+    return replace(tabletop, stages=tuple(
+        CavityStage("src", replace(s.params, loss_rt=0.0))
         if s.name == "src" else s
         for s in tabletop.stages))
 
 
 def test_matched_filter_cancels_rotation_of_lossless_src(tabletop):
-    cavityless = dataclasses.replace(tabletop, stages=tuple(
+    cavityless = replace(tabletop, stages=tuple(
         s for s in tabletop.stages if isinstance(s, LossElement)))
     matched = _lossless_variant(tabletop)
     fc = matched.cavity_stage("filter_cavity").params
@@ -164,7 +163,7 @@ def test_matched_filter_cancels_rotation_of_lossless_src(tabletop):
 
 
 def test_filter_cavity_earns_its_keep(tabletop):
-    without_fc = dataclasses.replace(tabletop, stages=tuple(
+    without_fc = replace(tabletop, stages=tuple(
         s for s in tabletop.stages
         if s.name != "filter_cavity"))
     freqs = tabletop.grid.frequencies()
@@ -177,7 +176,7 @@ def test_filter_cavity_earns_its_keep(tabletop):
 
 
 def _without_cavities(sc):
-    return dataclasses.replace(sc, stages=tuple(
+    return replace(sc, stages=tuple(
         s for s in sc.stages if isinstance(s, LossElement)))
 
 
@@ -208,7 +207,7 @@ def test_spectrum_refuses_past_quarter_fsr(tabletop):
         snr_spectrum(tabletop, tabletop.grid.frequencies())
     # both 1.21 m cavities sit 10 MHz from the carrier and fsr/4 is ~31 MHz, so
     # the band must end below ~21 MHz; the filter cavity comes first in the chain
-    wide = dataclasses.replace(tabletop, grid=FrequencyGrid(5 * MHZ, 25 * MHZ, 41))
+    wide = replace(tabletop, grid=FrequencyGrid(5 * MHZ, 25 * MHZ, 41))
     with pytest.raises(UnphysicalError, match=r"^filter_cavity: 21000000\.0 Hz .* fsr/4$"):
         snr_spectrum(wide, wide.grid.frequencies())
 

@@ -133,8 +133,8 @@ EDGES = [
     # the top point sits exactly at the filter cavity's fsr/4
     (("detuning_mhz = -10\nlength_m = 1.21", "detuning_mhz = 0\nfsr_mhz = 40"),
      ("fmax_mhz = 15\npoints = 201", "fmax_mhz = 10\npoints = 21")),
-    # v0 underflows to 0, and so does V- at the bottom point
-    (("gen_db_at_dc = 5.7", "gen_db_at_dc = 4000"), ("fmin_mhz = 5", "fmin_mhz = 1e-14")),
+    # 1 - v0 rounds to 1, so V- is 0 at the bottom point
+    (("gen_db_at_dc = 5.7", "gen_db_at_dc = 400"), ("fmin_mhz = 5", "fmin_mhz = 1e-14")),
     # hwhm^2 underflows, and the signal gain with it
     (("t_in = 0.1\nloss_rt = 0.003\ndetuning_mhz = 10\nlength_m = 1.21", "hwhm_mhz = 1e-166"),),
     # omega/hwhm overflows, and the covariance leaves float range

@@ -256,6 +256,19 @@ def test_length_beside_fsr_is_refused_at_its_line():
     assert err.line == 10
 
 
+@pytest.mark.parametrize("edit,line,written", [
+    (("bandwidth_mhz = 20", "bandwidth_mhz = -1e308"), 4, "bandwidth_mhz = -1e308"),
+    (("escape_eta = 0.9\n", "escape_eta = 0.9\n[src]\nhwhm_mhz = 1\ndetuning_mhz = 1e308\n"
+      "[losses]\nsrc = @cavity\n"), 8, "detuning_mhz = 1e308"),
+    (("escape_eta = 0.9\n", "escape_eta = 0.9\n[grid]\nfmin_mhz = 2e302\nfmax_mhz = 15\n"
+      "points = 3\n"), 7, "fmin_mhz = 2e302"),
+], ids=["bandwidth", "detuning", "fmin"])
+def test_mhz_value_past_float_range_in_hz_is_refused_at_its_line(edit, line, written):
+    # a finite number of MHz that overflows in Hz is named as written, not as the Hz field
+    err = _err(MINIMAL.replace(*edit))
+    assert (err.line, str(err)) == (line, f"line {line}: {written} is past float range in Hz")
+
+
 def test_duplicate_key_rejected():
     err = _err(MINIMAL + "escape_eta = 0.8\n")
     assert err.line == 6

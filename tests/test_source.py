@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 from hypothesis import given
@@ -17,7 +16,7 @@ from sqzbudget.source import (
     pump_parameter,
 )
 
-from conftest import loss
+from conftest import loss, replace
 
 MHZ = 1e6
 
@@ -169,7 +168,7 @@ def test_vacuum_source_emits_identity():
     p = SourceParams(mode="physical", classical_gain=5.0, bandwidth_hz=20 * MHZ,
                      escape_eta=0.9)
     # the pump off: a direct source with no squeezing
-    off = dataclasses.replace(p, mode="direct", gen_db_at_dc=0.0, classical_gain=None)
+    off = replace(p, mode="direct", gen_db_at_dc=0.0, classical_gain=None)
     for omega in (0.0, 5 * MHZ, 17 * MHZ):
         s = generated_spectrum(off, omega)
         assert s.s11 == 1.0 and s.s22 == 1.0 and s.s12 == 0j
