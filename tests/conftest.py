@@ -1,10 +1,14 @@
 import importlib.resources
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sqzbudget
 from sqzbudget.quadcore import SpectralCovariance, _apply_pair
 from sqzbudget.scenario_io import parse_scenario
 
@@ -18,6 +22,15 @@ def bundled_scenario_path(name):
 def load_bundled(name):
     path = importlib.resources.files("sqzbudget") / "scenarios" / f"{name}.scn"
     return parse_scenario(path.read_text(encoding="utf-8"), name=name)
+
+
+def fresh_python(code, *args):
+    """Run code with args in a fresh interpreter that imports the sqzbudget the tests import."""
+    src = str(pathlib.Path(sqzbudget.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def replace(obj, **changes):

@@ -12,15 +12,14 @@ scanned like any other import.
 
 import ast
 import inspect
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
 import sqzbudget
 from sqzbudget.quadcore import _Frozen
+
+from conftest import fresh_python
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -168,10 +167,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     # the modules that import sqzbudget.cli adds, so that what site loads does not count
     code = ("import sys; before = set(sys.modules); import sqzbudget.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python(code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 

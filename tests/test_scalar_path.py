@@ -15,17 +15,13 @@ reach each of its checks, by exit code, stdout and the stderr line.
 """
 
 import ast
-import os
 import pathlib
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import corpus
-import sqzbudget
 from sqzbudget import interferometer
 from sqzbudget.chain import FrequencyGrid, _linspace, efficiency_sweep, propagate
 from sqzbudget.cli import CHUNK_POINTS, _csv_lines
@@ -33,7 +29,7 @@ from sqzbudget.interferometer import snr_spectrum
 from sqzbudget.quadcore import UnphysicalError, apply_loss, db_to_variance, variance_to_db
 from sqzbudget.scenario_io import parse_scenario
 
-from conftest import bundled_scenario_path, load_bundled
+from conftest import bundled_scenario_path, fresh_python, load_bundled
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -47,17 +43,9 @@ except SystemExit as exc:
 """
 
 
-def _fresh(code, *args):
-    src = str(pathlib.Path(sqzbudget.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
 @pytest.mark.parametrize("module", ["sqzbudget", "sqzbudget.cli"])
 def test_import_leaves_numpy_out(module):
-    proc = _fresh(f"import sys, {module}; print('numpy' in sys.modules)")
+    proc = fresh_python(f"import sys, {module}; print('numpy' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
@@ -76,7 +64,7 @@ def _array_csv(sc, freqs):
     (["spectrum", bundled_scenario_path("tabletop"), "--points", "2049"], None, True),
 ], ids=["budget", "sweep", "spectrum"])
 def test_command_loads_numpy_only_for_spectrum(argv, golden, numpy_loaded, golden_dir):
-    proc = _fresh(RUN_CLI, *argv)
+    proc = fresh_python(RUN_CLI, *argv)
     assert proc.stderr == ""
     expected = ((golden_dir / golden).read_text(encoding="utf-8") if golden
                 else _array_csv(load_bundled("tabletop"), np.linspace(5e6, 15e6, 2049)))
@@ -85,7 +73,7 @@ def test_command_loads_numpy_only_for_spectrum(argv, golden, numpy_loaded, golde
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum"])
 def test_cold_spectrum_of_one_chunk_leaves_numpy_out(name, golden_dir):
-    proc = _fresh(RUN_CLI, "spectrum", bundled_scenario_path(name))
+    proc = fresh_python(RUN_CLI, "spectrum", bundled_scenario_path(name))
     assert proc.stderr == ""
     expected = (golden_dir / f"{name}_spectrum.csv").read_text(encoding="utf-8")
     assert proc.stdout == expected + "0 False\n"
@@ -206,7 +194,8 @@ def test_benchmark_setup_code_still_runs():
     tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
     setup_code = next(ast.literal_eval(node.value) for node in tree.body
                       if isinstance(node, ast.Assign) and node.targets[0].id == "SETUP_CODE")
-    proc = _fresh(setup_code + "; print('numpy' in sys.modules)", bundled_scenario_path("tabletop"))
+    proc = fresh_python(setup_code + "; print('numpy' in sys.modules)",
+                        bundled_scenario_path("tabletop"))
     assert proc.returncode == 0 and proc.stderr == ""
     printed_file, numpy_loaded = proc.stdout.splitlines()
     assert pathlib.Path(printed_file).resolve() == ROOT / "src" / "sqzbudget" / "cli.py"
