@@ -6,11 +6,12 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 
 import sqzbudget
 from sqzbudget import chain, cli
-from sqzbudget.cli import _csv_lines, build_parser, entry
+from sqzbudget.cli import _csv_array, _csv_lines, build_parser, entry
 
 from conftest import bundled_scenario_path
 
@@ -21,22 +22,29 @@ def run(argv):
     return code, out.getvalue()
 
 
-def _csv_num(x):
-    return _csv_lines([[x]]).rstrip("\n")
+def _csv_array_of_lists(columns):
+    return _csv_array([np.array(c, dtype=float) for c in columns])
+
+
+CSV_NUMBERS = [
+    (2.798822566307789, "2.798823"),
+    (-1.5, "-1.500000"),
+    (0.0, "0.000000"),
+    # tiny negatives must not print a minus-zero
+    (-1e-9, "0.000000"),
+    (-4e-7, "0.000000"),
+    (-0.0, "0.000000"),
+    # 1/128 and 3/128 lie exactly halfway in the sixth decimal: half to even
+    (0.0078125, "0.007812"),
+    (-0.0234375, "-0.023438"),
+]
 
 
 def test_csv_number_formatting():
-    assert _csv_num(2.798822566307789) == "2.798823"
-    assert _csv_num(-1.5) == "-1.500000"
-    assert _csv_num(0.0) == "0.000000"
-    # tiny negatives must not print a minus-zero
-    assert _csv_num(-1e-9) == "0.000000"
-    assert _csv_num(-4e-7) == "0.000000"
-    assert _csv_num(-0.0) == "0.000000"
-    # 1/128 and 3/128 lie exactly halfway in the sixth decimal: half to even
-    assert _csv_num(0.0078125) == "0.007812"
-    assert _csv_num(-0.0234375) == "-0.023438"
-    assert _csv_lines([[1.0, -4e-7], [-10.0, 0.5]]) == "1.000000,-10.000000\n0.000000,0.500000\n"
+    # the % formatter and the buffer formatter of long grids print each case alike
+    for csv in (_csv_lines, _csv_array_of_lists):
+        assert [csv([[x]]) for x, _ in CSV_NUMBERS] == [text + "\n" for _, text in CSV_NUMBERS]
+        assert csv([[1.0, -4e-7], [-10.0, 0.5]]) == "1.000000,-10.000000\n0.000000,0.500000\n"
 
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600"])
