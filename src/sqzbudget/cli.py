@@ -16,9 +16,12 @@ numpy arrays, CHUNK_POINTS rows at a time, and nothing is printed until every
 chunk has passed.  Each chunk's CSV is written into one numpy byte buffer
 (``_csv_array``), not by one ``%`` per row.  It is byte-identical to
 ``_csv_lines``, whose ``%.6f`` rounds the exact binary value half to even:
-the buffer rounds a·10^6 exactly (``_csv_array`` says why).  A chunk holding
-a value of magnitude 1e9 or more (MHz frequencies of a cavity-free chain) goes
-through ``_csv_lines`` whole, as ``sweep`` and the walk do.
+the buffer rounds a·10^6 exactly (``_csv_array`` says why).  Any chunk whose
+values lie below 1000 in magnitude, ties or none, runs the same array
+operations, so the chunks of a spectrum cost about the same whatever its
+band.  A chunk holding a value of magnitude 1e9 or more (MHz frequencies of
+a cavity-free chain) goes through ``_csv_lines`` whole, as ``sweep`` and the
+walk do.
 
 Every error of ``spectrum`` is named by the array path:
 the walk formats no message, and where any check would fail it gives up, the
@@ -52,12 +55,18 @@ def _csv_lines(columns):
 
 @functools.cache
 def _digit_words():
-    """The numbers 0-999 as ASCII ".ddd" and as "ddd" then a NUL, each a little-endian uint32."""
+    """The numbers 0-999 as ASCII in little-endian uint32 words, three ways.
+
+    ".ddd"; "ddd" then a NUL; and a NUL then the number without leading
+    zeros, right-aligned in the other three bytes.
+    """
     import numpy as np
 
     n = np.arange(1000, dtype=np.uint32)
     ddd = (48 + n // 100) | (48 + n // 10 % 10) << 8 | (48 + n % 10) << 16
-    return ddd << 8 | ord("."), ddd
+    bare = (np.where(n >= 100, 48 + n // 100, 0) << 8 | np.where(n >= 10, 48 + n // 10 % 10, 0) << 16
+            | (48 + n % 10) << 24)
+    return ddd << 8 | ord("."), ddd, bare
 
 
 def _csv_array(columns):
@@ -69,11 +78,14 @@ def _csv_array(columns):
     that k unless r is itself a half-integer.  For those the exact error
     a·1e6 - r comes from a Veltkamp split of a (1e6 has 14 significant bits,
     so both partial products are exact), and its sign rounds r up or down;
-    an error of zero is a true tie and keeps ``rint``'s half to even.  Each
-    row of the buffer holds, per field, the sign, the integer digits
-    right-aligned, then ".dddddd" and the separator; unused leading bytes
-    stay NUL and are dropped at the end.  Any |x| >= 1e9 or non-finite value
-    sends the whole block through ``_csv_lines``.
+    an error of zero is a true tie and keeps ``rint``'s half to even.  The
+    correction runs on every block, tied values or none, so its cost hardly
+    depends on how many there are.  Each field of the buffer is whole uint32
+    words: the sign and the integer digits in groups of three, one word per
+    group (one word for every |x| < 1000), then ".ddd", "ddd" and the
+    separator, all looked up in ``_digit_words``.  Unused bytes stay NUL and
+    are dropped at the end.  Any |x| >= 1e9 or non-finite value sends the
+    whole block through ``_csv_lines``.
     """
     import numpy as np
 
@@ -84,35 +96,35 @@ def _csv_array(columns):
     r = a * 1e6
     k = np.rint(r)
     ties = np.flatnonzero(np.abs(r - k) == 0.5)
-    if ties.size:
-        at, rt = a.flat[ties], r.flat[ties]
-        hi = 134217729.0 * at  # 2^27 + 1 splits off the upper 26 bits of at
-        hi -= hi - at
-        err = (hi * 1e6 - rt) + (at - hi) * 1e6
-        k.flat[ties] = np.where(err > 0, rt + 0.5, np.where(err < 0, rt - 0.5, k.flat[ties]))
+    at, rt = a.ravel()[ties], r.ravel()[ties]
+    hi = 134217729.0 * at  # 2^27 + 1 splits off the upper 26 bits of at
+    hi -= hi - at
+    err = (hi * 1e6 - rt) + (at - hi) * 1e6
+    k.ravel()[ties] = np.rint(rt + 0.5 * np.sign(err))  # the sign of err, or rint's tie rule
     whole = np.floor(k / 1e6)  # exact: k < 2^50, and k/1e6 cannot round up to the next integer
     frac = (k - whole * 1e6).astype(np.int32)
     whole = whole.astype(np.int32)
-    digits = len(str(whole.max(initial=0)))
-    lead = 4 * (digits // 4 + 1)  # the sign and the integer digits, in whole words
+    top = int(whole.max(initial=0))
+    groups = 1 + (top >= 1000) + (top >= 1000000) + (top >= 1000000000)  # k rounds up to 10^15
     rows, fields = x.shape
-    buf = np.zeros((rows, fields, lead + 8), np.uint8)
-    words = buf.view("<u4")
-    dot_ddd, ddd = _digit_words()
+    words = np.empty((rows, fields, groups + 2), np.uint32)  # every word is written below
+    dot_ddd, ddd, bare = _digit_words()
     high = frac // 1000
     ends = np.full(fields, ord(","), np.uint32)
     ends[-1] = ord("\n")
     words[:, :, -2] = dot_ddd.take(high)
     words[:, :, -1] = ddd.take(frac - high * 1000) | ends << 24
     rest = whole
-    for j in range(digits):
-        tens = rest // 10
-        digit = rest - tens * 10 + ord("0")
-        buf[:, :, lead - 1 - j] = np.where(rest != 0, digit, 0) if j else digit
-        rest = tens
-    buf[:, :, 0] = np.where((x < 0) & (k != 0), ord("-"), 0)  # no minus sign on a zero
-    flat = buf.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+    for g in range(groups - 1, 0, -1):  # the groups below the leading one, lowest first
+        above = rest // 1000
+        n = rest - above * 1000
+        word = np.where(above != 0, ddd.take(n) << 8, bare.take(n))  # zeros only after a digit
+        words[:, :, g] = word if g == groups - 1 else np.where(rest != 0, word, 0)
+        rest = above
+    lead = bare.take(rest) if groups == 1 else np.where(rest != 0, bare.take(rest), 0)
+    words[:, :, 0] = lead | ((x < 0) & (k != 0)) * np.uint32(ord("-"))  # no minus sign on a zero
+    flat = words.view(np.uint8).ravel()
+    return str(flat[flat != 0], "ascii")
 
 
 def format_budget(report):

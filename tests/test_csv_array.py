@@ -88,6 +88,18 @@ def test_csv_array_matches_on_dense_grids(band_mhz):
                                  _csv_lines([c.tolist() for c in columns])) is None
 
 
+# integer parts at the edges of the three-digit groups, each block mixed with
+# short numbers: a block of two, three or four integer words leaves the upper
+# words of a short number blank, and 999.9999996 rounds up into the next group
+@pytest.mark.parametrize("top", [999.9999996, 1000.0, 999999.9999996, 1234567.890123,
+                                 999999999.9999995])
+def test_csv_array_matches_across_digit_groups(top):
+    short = [0.0, -0.0, 7.25, -9.5e-7, 10.0, -99.999999, 100.5, 999.0, 1000.0005]
+    column = np.array([top, -top, *short, *(top / 10.0**j for j in range(1, 10))])
+    columns = (column, -column[::-1])
+    assert _csv_array(columns) == _csv_lines([c.tolist() for c in columns])
+
+
 class _Percent:
     """Counts the blocks that cli formats with ``_csv_lines``."""
 
