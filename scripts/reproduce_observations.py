@@ -12,8 +12,8 @@ import pathlib
 import numpy as np
 
 from sqzbudget import (
-    SpectralCovariance,
-    apply_cavity,
+    Scenario,
+    SourceParams,
     apply_loss,
     build_budget,
     db_to_variance,
@@ -48,9 +48,11 @@ def main():
     print(f"signal peak at {ns.frequency_hz[peak] / 1e6:.2f} MHz (recycling-cavity detuning)")
 
     # the reflection alone, without the OPA roll-off masking it, shows the
-    # intra-cavity loss biting hardest on resonance
-    src_stage = tabletop.cavity_stage("src")
-    out = apply_cavity(SpectralCovariance(0.1, 10.0), src_stage.params, ns.frequency_hz)
+    # intra-cavity loss biting hardest on resonance: a lossless 10 dB source
+    # whose bandwidth is so wide that its squeezing is flat across the band
+    flat = SourceParams(mode="direct", gen_db_at_dc=10.0, bandwidth_hz=1e15, escape_eta=1.0)
+    src_only = Scenario("src only", flat, (tabletop.cavity_stage("src"),))
+    out = propagate(src_only, ns.frequency_hz)
     # the smaller eigenvalue of the covariance is its squeezed variance
     squeezed = 0.5 * (out.s11 + out.s22) - np.hypot(0.5 * (out.s11 - out.s22), abs(out.s12))
     depth = -10.0 * np.log10(squeezed)  # variance_to_db takes one variance at a time

@@ -21,19 +21,19 @@ A detuned cavity multiplies the upper sideband at omega by a = r(+omega) and
 the lower by b = conj(r(-omega)); in the quadrature basis that is the transfer
 T = [[d, o], [-o, d]] with d = (a + b)/2 and o = i(a - b)/2.  For a lossless
 cavity T is (up to a global phase) a rotation of the squeezing ellipse; with
-round-trip loss the missing power is refilled with vacuum, and
-:func:`apply_cavity` maps a covariance to S' = T S T^dagger + I - T T^dagger.
+round-trip loss the missing power is refilled with vacuum, and a covariance
+maps to S' = T S T^dagger + I - T T^dagger (``quadcore._apply_pair``).
 Stages compose by multiplying their sideband pairs (Caves and Schumaker,
 PRA 31, 3068 (1985); Kimble et al., PRD 65, 022002 (2001) chain filter
-cavities this way), so ``chain.propagate`` multiplies each cavity's (a, b)
-into one pair.  The rotation is read off the output as the angle of its
-squeezing ellipse, (1/2) atan2(2 Re s12', s11' - s22').  Every function takes
-omega as a scalar or a 1-D array and works element-wise.
+cavities this way), so ``chain._sideband_pair`` multiplies each cavity's
+(a, b) into the chain's one pair.  The rotation is read off the output as the
+angle of its squeezing ellipse, (1/2) atan2(2 Re s12', s11' - s22').  Every
+function takes omega as a scalar or a 1-D array and works element-wise.
 """
 
 import math
 
-from .quadcore import UnphysicalError, _Frozen, _UnreadField, _apply_pair
+from .quadcore import UnphysicalError, _Frozen, _UnreadField
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
@@ -118,8 +118,3 @@ def reflection(p, omega_hz):
     """Complex amplitude reflectivity at signed sideband omega_hz; propagate decides its range."""
     x = (omega_hz - p.detuning_hz) / p._hwhm
     return 2.0 * p._coupling / (1.0 - 1j * x) - 1.0
-
-
-def apply_cavity(s, p, omega_hz):
-    """Reflect covariance s off the cavity at omega_hz: T S T^dagger + I - T T^dagger."""
-    return _apply_pair(s, reflection(p, omega_hz), reflection(p, -omega_hz).conjugate())

@@ -6,8 +6,9 @@ a homodyne detector at a fixed quadrature angle; the source's escape is the
 first loss of :meth:`Scenario.chain`.  The stages compose into one sideband
 pair (Caves and Schumaker, PRA 31, 3068 (1985)), A = sqrt(prod eta) *
 prod r_c(+omega) on the upper sideband and B = sqrt(prod eta) *
-prod conj(r_c(-omega)) on the lower, which :func:`propagate` applies once; the
-stages' order orders only the budget's rows and the written [losses].
+prod conj(r_c(-omega)) on the lower, which ``_sideband_pair`` forms and
+:func:`propagate` applies once; the stages' order orders only the budget's rows
+and the written [losses].
 :func:`propagate` and :func:`noise_db` work on numpy arrays, one frequency
 as a one-element array; the budget and the sweep are arithmetic on floats.
 """
@@ -130,12 +131,17 @@ class Scenario(_Frozen):
             if s.name in names:
                 raise ValueError(f"stage {s.name!r} appears twice in the chain")
             names.add(s.name)
-        # _eta: the efficiency that propagate applies and build_budget totals;
-        # _cavities: the cavities by name, in chain order, whose reflections propagate multiplies
+        # _eta: the efficiency that the sideband pair applies and build_budget totals;
+        # _cavities: the cavities by name, in chain order, whose reflections the pair multiplies;
+        # _limits: (name, fsr/4 - |detuning|) of each cavity with an FSR, in chain order, that
+        # omega must stay below (arranged so that no term overflows)
+        cavities = {s.name: s for s in chain if isinstance(s, CavityStage)}
         self.__dict__.update(
             _chain=chain,
             _eta=math.prod(s.eta for s in chain if isinstance(s, LossElement)),
-            _cavities={s.name: s for s in chain if isinstance(s, CavityStage)})
+            _cavities=cavities,
+            _limits=tuple([(name, s.params.fsr() / 4.0 - abs(s.params.detuning_hz))
+                           for name, s in cavities.items() if s.params.fsr() is not None]))
 
     def cavity_stage(self, name):
         """The cavity stage of this name, "filter_cavity" or "src", or None."""
@@ -154,6 +160,19 @@ def _frequencies(frequencies):
     import numpy as np
 
     return np.atleast_1d(np.asarray(frequencies, dtype=float))
+
+
+def _sideband_pair(sc, omega_hz):
+    """The chain's pair (A, B) of the module docstring at omega_hz, a float or an array.
+
+    The caller checks range and finiteness.
+    """
+    a = b = math.sqrt(sc._eta)
+    for stage in sc._cavities.values():
+        p = stage.params
+        a = a * _cavity.reflection(p, omega_hz)
+        b = b * _cavity.reflection(p, -omega_hz).conjugate()
+    return a, b
 
 
 def propagate(sc, omega_hz):
@@ -175,17 +194,10 @@ def propagate(sc, omega_hz):
     omega_hz = _frequencies(omega_hz)
     _require(np.isfinite(omega_hz) & (omega_hz > 0.0), omega_hz,
              "omega_hz must be finite and > 0, got {!r}", ValueError)
-    a = b = math.sqrt(sc._eta)
+    for name, limit in sc._limits:
+        _require(omega_hz < limit, omega_hz, f"{name}: {{!r}} Hz plus |detuning| is past fsr/4")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for stage in sc._cavities.values():
-            p, fsr = stage.params, stage.params.fsr()
-            if fsr is not None:
-                # omega + |detuning| < fsr/4, arranged so that no term overflows
-                _require(omega_hz < fsr / 4.0 - abs(p.detuning_hz), omega_hz,
-                         f"{stage.name}: {{!r}} Hz plus |detuning| is past fsr/4")
-            a = a * _cavity.reflection(p, omega_hz)
-            b = b * _cavity.reflection(p, -omega_hz).conjugate()
-        s = _apply_pair(generated_spectrum(sc.source, omega_hz), a, b)
+        s = _apply_pair(generated_spectrum(sc.source, omega_hz), *_sideband_pair(sc, omega_hz))
         ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
         _require(ok, omega_hz, "propagated covariance is not finite at {!r} Hz")
         _require(s.is_positive_semidefinite(), omega_hz, "internal error: propagated "

@@ -13,7 +13,7 @@ second, pump-off run.
 
 :func:`snr_spectrum` works on numpy arrays.  ``sqzbudget spectrum`` on a grid
 of one chunk calls :func:`_spectrum_rows` instead: one walk over plain floats
-with :mod:`math`, through the same formulas (``cavity.reflection``,
+with :mod:`math`, through the same formulas (``chain._sideband_pair``,
 ``quadcore._apply_pair``, ``chain.homodyne_readout``, :func:`signal_gain` and
 the source's V-), that gives up where any check of the array path would fail
 and leaves that path to name the error.
@@ -23,7 +23,6 @@ import cmath
 import math
 
 from . import chain as _chain
-from .cavity import reflection
 from .quadcore import _apply_pair, _Frozen, _require, _unchecked
 from .source import _squeezed_variance
 
@@ -98,20 +97,15 @@ def _spectrum_rows(sc, grid):
     is left to name the error.
     """
     freqs = _chain._linspace(grid.fmin_hz, grid.fmax_hz, grid.points)
-    cavities = [stage.params for stage in sc._cavities.values()]
-    # propagate's omega < fsr/4 - |detuning| at every point, decided by the top one
-    limits = [p.fsr() / 4.0 - abs(p.detuning_hz) for p in cavities if p.fsr() is not None]
+    # propagate's fsr/4 bounds at every point, decided by the top one
     if not (0.0 < freqs[0] and all(f < g for f, g in zip(freqs, freqs[1:]))
-            and freqs[-1] < min(limits, default=math.inf)):
+            and freqs[-1] < min((limit for _, limit in sc._limits), default=math.inf)):
         return None
-    root_eta, src = math.sqrt(sc._eta), sc.cavity_stage("src")
+    src = sc.cavity_stage("src")
     rows = []
     try:
         for w in freqs:
-            a = b = root_eta
-            for p in cavities:
-                a = a * reflection(p, w)
-                b = b * reflection(p, -w).conjugate()
+            a, b = _chain._sideband_pair(sc, w)  # unpacked: a starred call costs the walk ~3%
             vm = _squeezed_variance(sc.source, w)
             s = _apply_pair(_unchecked(vm, 1.0 / vm, 0j), a, b)
             v = _chain.homodyne_readout(s, sc.homodyne_angle)

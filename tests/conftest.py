@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sqzbudget
+from sqzbudget.cavity import reflection
 from sqzbudget.quadcore import SpectralCovariance, _apply_pair
 from sqzbudget.scenario_io import parse_scenario
 
@@ -31,6 +32,18 @@ def fresh_python(code, *args):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def first_difference(got, expected):
+    """None where the texts agree, else the first line where they part.
+
+    It keeps a failure on a long CSV short: pytest's diff of two texts of
+    thousands of lines takes minutes.
+    """
+    if got == expected:
+        return None
+    lines = zip(got.splitlines(keepends=True), expected.splitlines(keepends=True))
+    return next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b), "lengths differ")
 
 
 def replace(obj, **changes):
@@ -64,6 +77,14 @@ def loss(s, eta):
     """A beamsplitter loss on a covariance: both sidebands multiplied by sqrt(eta)."""
     r = math.sqrt(eta)
     return _apply_pair(s, r, r)
+
+
+def reflect(s, p, omega_hz):
+    """The covariance s reflected off the cavity p at omega_hz: T S T^dagger + I - T T^dagger.
+
+    The upper sideband is multiplied by r(+omega), the lower by conj(r(-omega)).
+    """
+    return _apply_pair(s, reflection(p, omega_hz), reflection(p, -omega_hz).conjugate())
 
 
 def ellipse_angle(s):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from sqzbudget.cavity import CavityParams, apply_cavity
+from sqzbudget.cavity import CavityParams
 from sqzbudget.chain import (
     FrequencyGrid,
     LossElement,
@@ -25,7 +25,7 @@ from sqzbudget.interferometer import signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, apply_loss, db_to_variance, variance_to_db
 from sqzbudget.source import SourceParams, escape_efficiency
 
-from conftest import det, ellipse_angle, replace
+from conftest import det, ellipse_angle, reflect, replace
 
 MHZ = 1e6
 
@@ -99,8 +99,8 @@ def test_criterion_6_property_suite(tabletop):
     rng = np.random.default_rng(42)
     cav = CavityParams(detuning_hz=-10 * MHZ, hwhm_hz=1.039 * MHZ)
     # (T T^dagger = I: the image of the zero state, I - T T^dagger, vanishes)
-    fill = apply_cavity(SpectralCovariance(0.0, 0.0), cav,
-                        rng.uniform(0.01 * MHZ, 60 * MHZ, size=1000))
+    fill = reflect(SpectralCovariance(0.0, 0.0), cav,
+                   rng.uniform(0.01 * MHZ, 60 * MHZ, size=1000))
     assert np.allclose((fill.s11, fill.s22, fill.s12), 0.0, atol=1e-10)
 
     # opposite detunings cancel the rotation: the ellipse of diag(10, 0.1),
@@ -110,8 +110,8 @@ def test_criterion_6_property_suite(tabletop):
         d, h, f = rng.uniform(0.1, 30), rng.uniform(0.05, 5), rng.uniform(0.01, 50)
         plus = CavityParams(detuning_hz=d * MHZ, hwhm_hz=h * MHZ)
         minus = CavityParams(detuning_hz=-d * MHZ, hwhm_hz=h * MHZ)
-        total = (ellipse_angle(apply_cavity(state, plus, f * MHZ))
-                 + ellipse_angle(apply_cavity(state, minus, f * MHZ)))
+        total = (ellipse_angle(reflect(state, plus, f * MHZ))
+                 + ellipse_angle(reflect(state, minus, f * MHZ)))
         assert abs(math.remainder(total, math.pi)) < 1e-9
 
     # random chains keep states physical (det >= 1 and positive)

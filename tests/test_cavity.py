@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sqzbudget.cavity import (
     SPEED_OF_LIGHT,
     CavityParams,
-    apply_cavity,
     finesse,
     reflection,
 )
@@ -17,7 +16,7 @@ from sqzbudget.chain import CavityStage, Scenario, propagate
 from sqzbudget.quadcore import SpectralCovariance, UnphysicalError
 from sqzbudget.source import SourceParams
 
-from conftest import det, ellipse_angle, matrix, replace, squeezed_state
+from conftest import det, ellipse_angle, matrix, reflect, replace, squeezed_state
 
 MHZ = 1e6
 
@@ -125,7 +124,7 @@ def test_reflection_is_silent_past_quarter_fsr():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert abs(reflection(p, 40.0 * MHZ)) == pytest.approx(1.0, rel=1e-12)
-        apply_cavity(SpectralCovariance(1.0, 1.0), p, np.array([5.0, 40.0, 1e6]) * MHZ)
+        reflect(SpectralCovariance(1.0, 1.0), p, np.array([5.0, 40.0, 1e6]) * MHZ)
     source = SourceParams(mode="direct", gen_db_at_dc=3.0, bandwidth_hz=20 * MHZ, escape_eta=1.0)
     sc = Scenario(name="t", source=source, stages=(CavityStage("filter_cavity", p),))
     # fsr/4 = c/(8 * 1.21 m) = 30.97 MHz, so omega + 10 MHz must stay below it
@@ -143,7 +142,7 @@ def test_reflection_is_silent_past_quarter_fsr():
 
 def _vacuum_fill(p, omega_hz):
     """N = I - T T^dagger, read as the image of the zero state."""
-    n = apply_cavity(SpectralCovariance(0.0, 0.0), p, omega_hz)
+    n = reflect(SpectralCovariance(0.0, 0.0), p, omega_hz)
     return n.s11, n.s22, n.s12
 
 
@@ -184,23 +183,23 @@ cavities = st.builds(
        st.floats(min_value=0.0, max_value=15.0),
        st.floats(min_value=-math.pi, max_value=math.pi),
        st.floats(min_value=-0.4, max_value=0.4))
-def test_apply_cavity_matches_the_matrix_product(p, omega_mhz, db, theta, phase):
+def test_reflect_matches_the_matrix_product(p, omega_mhz, db, theta, phase):
     # the closed form against S' = T S T^dagger + I - T T^dagger as matrices
     pure = squeezed_state(db, theta)
     state = SpectralCovariance(pure.s11, pure.s22, pure.s12 + 1j * phase * 10.0 ** (-db / 10.0))
     t = _transfer_matrix(p, omega_mhz * MHZ)
     expected = t @ matrix(state) @ t.conj().T + np.eye(2) - t @ t.conj().T
-    out = apply_cavity(state, p, omega_mhz * MHZ)
+    out = reflect(state, p, omega_mhz * MHZ)
     assert np.allclose(matrix(out), expected, rtol=0.0, atol=1e-12)
     # vacuum comes back bit for bit, across the band as well as at omega
     omegas = np.append(np.linspace(0.01, 60.0, 201), omega_mhz) * MHZ
-    vac = apply_cavity(SpectralCovariance(1.0, 1.0), p, omegas)
+    vac = reflect(SpectralCovariance(1.0, 1.0), p, omegas)
     assert np.all(vac.s11 == 1.0) and np.all(vac.s22 == 1.0) and np.all(vac.s12 == 0.0)
 
 
 def test_transfer_applied_to_squeezing_frozen_values():
     p = CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=1.039 * MHZ)
-    out = apply_cavity(SpectralCovariance(0.1, 10.0), p, 10.0 * MHZ)
+    out = reflect(SpectralCovariance(0.1, 10.0), p, 10.0 * MHZ)
     assert out.s11 == pytest.approx(9.9733537681670862, rel=1e-12)
     assert out.s22 == pytest.approx(0.12664623183291375, rel=1e-12)
     assert out.s12 == pytest.approx(-0.51292072825628013 + 0j, rel=1e-12)
@@ -213,7 +212,7 @@ def test_lossy_transfer_frozen_values():
     assert n11 == pytest.approx(0.056716691090936737, rel=1e-12)
     assert n22 == pytest.approx(0.056716691090936737, rel=1e-12)
     assert n12 == pytest.approx(0.056394818005113786j, rel=1e-12)
-    out = apply_cavity(SpectralCovariance(0.1, 10.0), p, 10.0 * MHZ)
+    out = reflect(SpectralCovariance(0.1, 10.0), p, 10.0 * MHZ)
     assert out.s11 == pytest.approx(9.4561899928256178, rel=1e-12)
     assert out.s22 == pytest.approx(0.18440480933779468, rel=1e-12)
     assert out.s12 == pytest.approx(0.48217269407140181 - 0.22839901292071083j, rel=1e-12)
@@ -225,7 +224,7 @@ def test_rotation_angle_frozen_value():
     # diag(0.1, 10) has its major axis at pi/2; the lossless cavity turns it by
     # its rotation angle, 1.5188929855278365 rad, which leaves it at that + pi/2 mod pi
     p = CavityParams(detuning_hz=-10.0 * MHZ, hwhm_hz=1.039 * MHZ)
-    out = apply_cavity(SpectralCovariance(0.1, 10.0), p, 10.0 * MHZ)
+    out = reflect(SpectralCovariance(0.1, 10.0), p, 10.0 * MHZ)
     assert ellipse_angle(out) == pytest.approx(-0.051903341267060116, abs=1e-12)
 
 
@@ -245,7 +244,7 @@ def test_lossless_transfer_acts_as_rotation(omega_mhz, detuning_mhz, hwhm_mhz, d
     alpha = 0.5 * (np.angle(reflection(p, omega_mhz * MHZ))
                    + np.angle(reflection(p, -omega_mhz * MHZ)))
     s = squeezed_state(db, 0.0)
-    out = apply_cavity(s, p, omega_mhz * MHZ)
+    out = reflect(s, p, omega_mhz * MHZ)
     r = _rotation(alpha)
     assert np.allclose(matrix(out), r @ matrix(s).real @ r.T, atol=1e-10)
     # the major axis starts at pi/2 and turns by alpha; vacuum (db = 0) is a
@@ -262,6 +261,6 @@ def test_opposite_detunings_cancel_rotation(detuning_mhz, hwhm_mhz, omega_mhz):
     minus = CavityParams(detuning_hz=-detuning_mhz * MHZ, hwhm_hz=hwhm_mhz * MHZ)
     # diag(10, 0.1) has its major axis at 0, so each output's angle is its turn
     state = SpectralCovariance(10.0, 0.1)
-    total = (ellipse_angle(apply_cavity(state, plus, omega_mhz * MHZ))
-             + ellipse_angle(apply_cavity(state, minus, omega_mhz * MHZ)))
+    total = (ellipse_angle(reflect(state, plus, omega_mhz * MHZ))
+             + ellipse_angle(reflect(state, minus, omega_mhz * MHZ)))
     assert abs(math.remainder(total, math.pi)) < 1e-9

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqzbudget import cavity, chain
-from sqzbudget.cavity import CavityParams, apply_cavity
+from sqzbudget.cavity import CavityParams
 from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
@@ -27,7 +27,7 @@ from sqzbudget.quadcore import (
 )
 from sqzbudget.source import SourceParams, generated_spectrum
 
-from conftest import det, loss, matrix, replace
+from conftest import det, loss, matrix, reflect, replace
 
 MHZ = 1e6
 
@@ -320,7 +320,7 @@ def test_propagate_matches_the_per_stage_fold(tabletop, geo600, vacuum_scenario)
             if isinstance(stage, LossElement):
                 s = loss(s, stage.eta)
             else:
-                s = apply_cavity(s, stage.params, freqs)
+                s = reflect(s, stage.params, freqs)
         return -10.0 * np.log10(homodyne_readout(s, sc.homodyne_angle))
 
     for sc in (tabletop, geo600, vacuum_scenario, *_two_cavity_chains(random.Random("fold"))):

@@ -21,7 +21,7 @@ from sqzbudget.chain import FrequencyGrid
 from sqzbudget.cli import _csv_array, _csv_lines
 from sqzbudget.interferometer import snr_spectrum
 
-from conftest import bundled_scenario_path, load_bundled
+from conftest import bundled_scenario_path, first_difference, load_bundled
 
 BOUND = 1e9  # _csv_array formats magnitudes below it itself
 
@@ -63,18 +63,6 @@ def test_csv_array_matches_percent_formatting(columns):
     assert _csv_array(columns) == _csv_lines([c.tolist() for c in columns])
 
 
-def _first_difference(got, expected):
-    """None where the texts agree, else the first line where they part.
-
-    It keeps a failure on a long CSV short: pytest's diff of two texts of
-    thousands of lines takes minutes.
-    """
-    if got == expected:
-        return None
-    lines = zip(got.splitlines(keepends=True), expected.splitlines(keepends=True))
-    return next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b), "lengths differ")
-
-
 # spectrum_dense's grids of seeds 1-3: 20,001 points in a band inside 1-20 MHz
 @pytest.mark.parametrize("band_mhz", [(1.941, 13.026), (7.692, 19.379), (2.666, 11.931)])
 def test_csv_array_matches_on_dense_grids(band_mhz):
@@ -84,7 +72,7 @@ def test_csv_array_matches_on_dense_grids(band_mhz):
     for start in range(0, mhz.size, cli.CHUNK_POINTS):
         chunk = mhz[start:start + cli.CHUNK_POINTS]
         columns = (chunk, -chunk, chunk * 1e-3)
-        assert _first_difference(_csv_array(columns),
+        assert first_difference(_csv_array(columns),
                                  _csv_lines([c.tolist() for c in columns])) is None
 
 
@@ -146,4 +134,4 @@ def test_spectrum_past_the_bound_prints_the_percent_csv(fmin, fmax, points, perc
     assert percent.calls == percent_chunks
     grid = FrequencyGrid(fmin * 1e6, fmax * 1e6, points)
     expected = _expected_csv(load_bundled("geo600"), grid.frequencies())
-    assert _first_difference(out.getvalue(), expected) is None
+    assert first_difference(out.getvalue(), expected) is None

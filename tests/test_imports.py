@@ -1,8 +1,9 @@
 """Every imported name is used in the file that imports it, every
 module-level private name of the package is read by some package module,
 every public name is read by some code that is not a test, no package
-module imports numpy or dataclasses when it loads, and each value class's
-``__init__`` takes its annotated fields with their defaults.
+module imports numpy or dataclasses when it loads, each value class's
+``__init__`` takes its annotated fields with their defaults, and the
+chain's sideband pair and its fsr/4 bound are each spelled in one place.
 
 No linter is a dependency, so this is a small stdlib ``ast`` scan over the
 package, the tests and the scripts.  A name that a module lists in
@@ -182,3 +183,51 @@ def test_value_class_init_takes_its_fields():
         assert [p.name for p in params] == list(cls.__annotations__), cls
         assert {p.name: p.default for p in params if p.default is not p.empty} == {
             name: vars(cls)[name] for name in cls.__annotations__ if name in vars(cls)}, cls
+
+
+def enclosing_functions(tree, match):
+    """(line, name of the innermost enclosing def, or None) of each node for which match holds."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append((child.lineno, where))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, None)
+    return found
+
+
+def calls_reflection(node):
+    """A call of ``reflection``, bare or as a module attribute."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "reflection"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "reflection")
+
+
+def divides_by_four(node):
+    """A division by the constant 4, as fsr/4 is written."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.Constant) and node.right.value == 4)
+
+
+def test_scan_finds_calls_and_their_function():
+    tree = ast.parse("reflection(p, w)\ndef f():\n    def g():\n"
+                     "        return c.reflection(p, -w)\n"
+                     "    return x / 4.0 + y / 2\nclass C:\n    z = 1 / 4\n")
+    assert enclosing_functions(tree, calls_reflection) == [(1, None), (4, "g")]
+    assert enclosing_functions(tree, divides_by_four) == [(5, "f"), (7, None)]
+
+
+def test_one_place_spells_the_sideband_pair_and_the_quarter_fsr_bound():
+    # so that a reader of the chain (propagate, the one-chunk walk, any later one)
+    # takes both from chain rather than carrying a copy that can drift
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    pair = {(name, where) for name, tree in trees.items()
+            for _, where in enclosing_functions(tree, calls_reflection)}
+    assert pair == {("chain.py", "_sideband_pair")}
+    bound = [(name, where) for name, tree in trees.items()
+             for _, where in enclosing_functions(tree, divides_by_four)]
+    assert bound == [("chain.py", "__init__")]

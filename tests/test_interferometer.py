@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget.cavity import CavityParams, apply_cavity
+from sqzbudget.cavity import CavityParams
 from sqzbudget.chain import (
     CavityStage,
     FrequencyGrid,
@@ -18,7 +18,7 @@ from sqzbudget.interferometer import _spectrum_rows, signal_gain, snr_spectrum
 from sqzbudget.quadcore import SpectralCovariance, UnphysicalError, variance_to_db
 from sqzbudget.source import SourceParams
 
-from conftest import load_bundled, matrix, replace
+from conftest import load_bundled, matrix, reflect, replace
 
 MHZ = 1e6
 
@@ -28,7 +28,7 @@ def test_lossless_reflection_preserves_squeezing_magnitude():
                        hwhm_hz=1.039 * MHZ)
     state = SpectralCovariance(0.1, 10.0)
     for f_mhz in (5.0, 9.0, 10.0, 11.0, 15.0):
-        out = apply_cavity(state, cav, f_mhz * MHZ)
+        out = reflect(state, cav, f_mhz * MHZ)
         eig = np.linalg.eigvalsh(matrix(out)).real
         assert min(eig) == pytest.approx(0.1, rel=1e-10)
         assert max(eig) == pytest.approx(10.0, rel=1e-10)
@@ -38,9 +38,9 @@ def test_far_detuned_reflection_is_minus_identity():
     cav = CavityParams(t_in=0.1, detuning_hz=10 * MHZ, hwhm_hz=0.1 * MHZ)
     # T = -I hands back any state, rotated or not, unchanged
     state = SpectralCovariance(0.1, 10.0, 0.5 - 0.25j)
-    out = apply_cavity(state, cav, 300 * MHZ)
+    out = reflect(state, cav, 300 * MHZ)
     assert np.allclose(matrix(out), matrix(state), rtol=0.0, atol=1e-3)
-    assert apply_cavity(SpectralCovariance(0.1, 10.0), cav, 300 * MHZ).s11 == (
+    assert reflect(SpectralCovariance(0.1, 10.0), cav, 300 * MHZ).s11 == (
         pytest.approx(0.1, rel=1e-4))
 
 
@@ -50,7 +50,7 @@ def test_lossy_reflection_dips_at_detuning(tabletop):
     freqs = np.linspace(5 * MHZ, 15 * MHZ, 401)
     depth = []
     for f in freqs:
-        out = apply_cavity(state, p, f)
+        out = reflect(state, p, f)
         depth.append(variance_to_db(min(np.linalg.eigvalsh(matrix(out)).real)))
     worst = freqs[int(np.argmin(depth))]
     assert abs(worst - p.detuning_hz) <= p.hwhm()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqzbudget.cavity import CavityParams, apply_cavity
+from sqzbudget.cavity import CavityParams
 from sqzbudget.quadcore import (
     SpectralCovariance,
     UnphysicalError,
@@ -16,7 +16,7 @@ from sqzbudget.quadcore import (
     variance_to_db,
 )
 
-from conftest import det, loss, matrix, squeezed_state
+from conftest import det, loss, matrix, reflect, squeezed_state
 
 etas = st.floats(min_value=0.0, max_value=1.0)
 dbs = st.floats(min_value=-20.0, max_value=20.0)
@@ -119,8 +119,8 @@ def test_loss_pair_matches_scalar_on_diagonal():
 def test_sideband_transfer_builds_frozen_covariances():
     s = SpectralCovariance(0.1, 10.0, 0.5 - 0.25j)
     lossy = loss(s, 0.65)
-    turned = apply_cavity(s, CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=1e7,
-                                          length_m=1.21), 8e6)
+    turned = reflect(s, CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=1e7,
+                                     length_m=1.21), 8e6)
     for out in (lossy, turned):
         assert type(out) is SpectralCovariance
         with pytest.raises(AttributeError):

@@ -29,7 +29,7 @@ from sqzbudget.interferometer import snr_spectrum
 from sqzbudget.quadcore import UnphysicalError, apply_loss, db_to_variance, variance_to_db
 from sqzbudget.scenario_io import parse_scenario
 
-from conftest import bundled_scenario_path, fresh_python, load_bundled
+from conftest import bundled_scenario_path, first_difference, fresh_python, load_bundled
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -68,7 +68,7 @@ def test_command_loads_numpy_only_for_spectrum(argv, golden, numpy_loaded, golde
     assert proc.stderr == ""
     expected = ((golden_dir / golden).read_text(encoding="utf-8") if golden
                 else _array_csv(load_bundled("tabletop"), np.linspace(5e6, 15e6, 2049)))
-    assert proc.stdout == expected + f"0 {numpy_loaded}\n"
+    assert first_difference(proc.stdout, expected + f"0 {numpy_loaded}\n") is None
 
 
 @pytest.mark.parametrize("name", ["tabletop", "geo600", "vacuum"])
@@ -112,7 +112,7 @@ def test_spectrum_either_side_of_one_chunk_prints_the_array_csv(points, tabletop
     code, out, err, calls = walks.run(
         ["spectrum", bundled_scenario_path("tabletop"), "--points", str(points)])
     assert (code, err) == (0, "")
-    assert out == _array_csv(tabletop, np.linspace(5e6, 15e6, points))
+    assert first_difference(out, _array_csv(tabletop, np.linspace(5e6, 15e6, points))) is None
     assert calls == ((True,) if points <= CHUNK_POINTS else (False,))
 
 

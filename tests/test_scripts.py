@@ -14,4 +14,6 @@ def test_reproduce_observations_runs_without_warnings(capsys):
     out = capsys.readouterr().out
     assert "   10.0 MHz   1.94 dB" in out
     assert "signal peak at 10.00 MHz (recycling-cavity detuning)" in out
+    assert ("reflection off the lossy recycling cavity degrades a 10 dB input most "
+            "at 10.00 MHz (8.13 dB left)") in out
     assert "table-top chain efficiency 0.6543 turns 5.7 dB into 2.83 dB at DC" in out
