@@ -22,11 +22,12 @@ the lower by b = conj(r(-omega)); in the quadrature basis that is the transfer
 T = [[d, o], [-o, d]] with d = (a + b)/2 and o = i(a - b)/2.  For a lossless
 cavity T is (up to a global phase) a rotation of the squeezing ellipse; with
 round-trip loss the missing power is refilled with vacuum, and a covariance
-maps to S' = T S T^dagger + I - T T^dagger (``quadcore._apply_pair``).
-Stages compose by multiplying their sideband pairs (Caves and Schumaker,
-PRA 31, 3068 (1985); Kimble et al., PRD 65, 022002 (2001) chain filter
-cavities this way), so ``chain._sideband_pair`` multiplies each cavity's
-(a, b) into the chain's one pair.  The rotation is read off the output as the
+maps to S' = T S T^dagger + I - T T^dagger.  Stages compose by multiplying
+their sideband pairs (Caves and Schumaker, PRA 31, 3068 (1985); Kimble et
+al., PRD 65, 022002 (2001) chain filter cavities this way), so
+``chain._sideband_pair`` multiplies each cavity's (a, b) into the chain's
+one pair, and ``quadcore._apply_pair`` applies that pair to the one state it
+meets, the OPA's diag(V-, 1/V-).  The rotation is read off the output as the
 angle of its squeezing ellipse, (1/2) atan2(2 Re s12', s11' - s22').  Every
 function takes omega as a scalar or a 1-D array and works element-wise.
 """

@@ -197,7 +197,8 @@ def propagate(sc, omega_hz):
     for name, limit in sc._limits:
         _require(omega_hz < limit, omega_hz, f"{name}: {{!r}} Hz plus |detuning| is past fsr/4")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = _apply_pair(generated_spectrum(sc.source, omega_hz), *_sideband_pair(sc, omega_hz))
+        opa = generated_spectrum(sc.source, omega_hz)
+        s = _apply_pair(opa.s11, opa.s22, *_sideband_pair(sc, omega_hz))
         ok = np.isfinite(s.s11) & np.isfinite(s.s22) & np.isfinite(s.s12)
         _require(ok, omega_hz, "propagated covariance is not finite at {!r} Hz")
         _require(s.is_positive_semidefinite(), omega_hz, "internal error: propagated "

@@ -101,9 +101,7 @@ def _csv_array(columns):
     hi -= hi - at
     err = (hi * 1e6 - rt) + (at - hi) * 1e6
     k.ravel()[ties] = np.rint(rt + 0.5 * np.sign(err))  # the sign of err, or rint's tie rule
-    whole = np.floor(k / 1e6)  # exact: k < 2^50, and k/1e6 cannot round up to the next integer
-    frac = (k - whole * 1e6).astype(np.int32)
-    whole = whole.astype(np.int32)
+    whole, frac = np.divmod(k.astype(np.int64), 1000000)
     top = int(whole.max(initial=0))
     groups = 1 + (top >= 1000) + (top >= 1000000) + (top >= 1000000000)  # k rounds up to 10^15
     rows, fields = x.shape
@@ -123,8 +121,7 @@ def _csv_array(columns):
         rest = above
     lead = bare.take(rest) if groups == 1 else np.where(rest != 0, bare.take(rest), 0)
     words[:, :, 0] = lead | ((x < 0) & (k != 0)) * np.uint32(ord("-"))  # no minus sign on a zero
-    flat = words.view(np.uint8).ravel()
-    return str(flat[flat != 0], "ascii")
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def format_budget(report):

@@ -13,17 +13,17 @@ second, pump-off run.
 
 :func:`snr_spectrum` works on numpy arrays.  ``sqzbudget spectrum`` on a grid
 of one chunk calls :func:`_spectrum_rows` instead: one walk over plain floats
-with :mod:`math`, through the same formulas (``chain._sideband_pair``,
-``quadcore._apply_pair``, ``chain.homodyne_readout``, :func:`signal_gain` and
-the source's V-), that gives up where any check of the array path would fail
-and leaves that path to name the error.
+with :mod:`math`, through the same formulas (``chain._sideband_pair``, the
+source's V-, ``quadcore._apply_pair`` of the pair on diag(V-, 1/V-),
+``chain.homodyne_readout`` and :func:`signal_gain`), that gives up where any
+check of the array path would fail and leaves that path to name the error.
 """
 
 import cmath
 import math
 
 from . import chain as _chain
-from .quadcore import _apply_pair, _Frozen, _require, _unchecked
+from .quadcore import _apply_pair, _Frozen, _require
 from .source import _squeezed_variance
 
 
@@ -107,7 +107,7 @@ def _spectrum_rows(sc, grid):
         for w in freqs:
             a, b = _chain._sideband_pair(sc, w)  # unpacked: a starred call costs the walk ~3%
             vm = _squeezed_variance(sc.source, w)
-            s = _apply_pair(_unchecked(vm, 1.0 / vm, 0j), a, b)
+            s = _apply_pair(vm, 1.0 / vm, a, b)
             v = _chain.homodyne_readout(s, sc.homodyne_angle)
             g = 1.0 if src is None else signal_gain(src.params, w)  # 1: a flat 0 dB
             if not (vm > 0.0 and math.isfinite(s.s11) and math.isfinite(s.s22)

@@ -19,9 +19,11 @@ offending element.
 Every passive stage maps S to M S M^dagger + I - M M^dagger, M multiplying
 the upper sideband by a and the lower by b (both sqrt(eta) for a loss); two
 stages compose into the pair (a1*a2, b1*b2) (Caves and Schumaker, PRA 31,
-3068 (1985)).  Covariances are checked by the :class:`SpectralCovariance`
-constructor and by ``chain.propagate``'s exit check; the transfer between
-skips the checks, and a NaN or inf carries through to the exit.
+3068 (1985)).  So a chain is one pair, and the one state it meets is the
+OPA's pure diag(V-, 1/V-): :func:`_apply_pair` maps that diagonal state.
+Covariances are checked by the :class:`SpectralCovariance` constructor and
+by ``chain.propagate``'s exit check; the transfer between skips the checks,
+and a NaN or inf carries through to the exit.
 """
 
 import math
@@ -175,17 +177,21 @@ def _unchecked(s11, s22, s12):
     return s
 
 
-def _apply_pair(s, a, b):
-    """M S M^dagger + I - M M^dagger, M multiplying the sidebands by (a, b), |a|, |b| <= 1.
+def _apply_pair(v, w, a, b):
+    """M diag(v, w) M^dagger + I - M M^dagger, M scaling the sidebands by (a, b), |a|, |b| <= 1.
 
-    In the quadrature basis M = [[d, o], [-o, d]], d = (a + b)/2, o = i(a - b)/2.
-    With dd = |d|^2, oo = |o|^2, c = d*conj(o) and fill = 1 - (dd + oo):
+    diag(v, w) is the OPA's pure state diag(V-, 1/V-)
+    (``source.generated_spectrum``), the one state that a chain's pair meets.
+    In the quadrature basis M = [[d, o], [-o, d]], d = (a + b)/2,
+    o = i(a - b)/2.  With dd = |d|^2, oo = |o|^2, c = d*conj(o) and
+    fill = 1 - (dd + oo):
 
-        s11' = dd*s11 + oo*s22 + 2 Re(c*s12) + fill
-        s22' = oo*s11 + dd*s22 - 2 Re(conj(c)*s12) + fill
-        s12' = dd*s12 - oo*conj(s12) - c*s11 + conj(c)*s22 + (c - conj(c))
+        s11' = dd*v + oo*w + fill
+        s22' = oo*v + dd*w + fill
+        s12' = conj(c)*w - c*v + (c - conj(c))
 
-    element-wise; the fill goes in last, so vacuum maps to vacuum bit for bit.
+    element-wise; the fill goes in last, so vacuum (v = w = 1) maps to vacuum
+    bit for bit.
     """
     d = 0.5 * (a + b)
     o = 0.5j * (a - b)
@@ -194,8 +200,4 @@ def _apply_pair(s, a, b):
     c = d * o.conjugate()  # methods, so the module needs no numpy
     cc = c.conjugate()
     fill = 1.0 - (dd + oo)
-    return _unchecked(
-        dd * s.s11 + oo * s.s22 + 2.0 * (c * s.s12).real + fill,
-        oo * s.s11 + dd * s.s22 - 2.0 * (cc * s.s12).real + fill,
-        dd * s.s12 - oo * s.s12.conjugate() - c * s.s11 + cc * s.s22 + (c - cc),
-    )
+    return _unchecked(dd * v + oo * w + fill, oo * v + dd * w + fill, cc * w - c * v + (c - cc))

@@ -10,7 +10,7 @@ import pytest
 
 import sqzbudget
 from sqzbudget.cavity import reflection
-from sqzbudget.quadcore import SpectralCovariance, _apply_pair
+from sqzbudget.quadcore import SpectralCovariance, _unchecked
 from sqzbudget.scenario_io import parse_scenario
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -73,10 +73,39 @@ def squeezed_state(db, theta):
                               complex(c * s * (v - 1.0 / v)))
 
 
+def transfer(s, a, b):
+    """M S M^dagger + I - M M^dagger on any covariance s, M multiplying the sidebands by (a, b).
+
+    The reference for ``quadcore._apply_pair``, which maps only the diagonal
+    state that the package's chains meet.  With M = [[d, o], [-o, d]],
+    d = (a + b)/2, o = i(a - b)/2, dd = |d|^2, oo = |o|^2, c = d*conj(o) and
+    fill = 1 - (dd + oo), element-wise:
+
+        s11' = dd*s11 + oo*s22 + 2 Re(c*s12) + fill
+        s22' = oo*s11 + dd*s22 - 2 Re(conj(c)*s12) + fill
+        s12' = dd*s12 - oo*conj(s12) - c*s11 + conj(c)*s22 + (c - conj(c))
+
+    The fill goes in last, as in the kernel.  Unchecked like the kernel's
+    result, so that the image of the zero state, I - M M^dagger, can be read.
+    """
+    d = 0.5 * (a + b)
+    o = 0.5j * (a - b)
+    dd = d.real * d.real + d.imag * d.imag
+    oo = o.real * o.real + o.imag * o.imag
+    c = d * o.conjugate()
+    cc = c.conjugate()
+    fill = 1.0 - (dd + oo)
+    return _unchecked(
+        dd * s.s11 + oo * s.s22 + 2.0 * (c * s.s12).real + fill,
+        oo * s.s11 + dd * s.s22 - 2.0 * (cc * s.s12).real + fill,
+        dd * s.s12 - oo * s.s12.conjugate() - c * s.s11 + cc * s.s22 + (c - cc),
+    )
+
+
 def loss(s, eta):
     """A beamsplitter loss on a covariance: both sidebands multiplied by sqrt(eta)."""
     r = math.sqrt(eta)
-    return _apply_pair(s, r, r)
+    return transfer(s, r, r)
 
 
 def reflect(s, p, omega_hz):
@@ -84,7 +113,7 @@ def reflect(s, p, omega_hz):
 
     The upper sideband is multiplied by r(+omega), the lower by conj(r(-omega)).
     """
-    return _apply_pair(s, reflection(p, omega_hz), reflection(p, -omega_hz).conjugate())
+    return transfer(s, reflection(p, omega_hz), reflection(p, -omega_hz).conjugate())
 
 
 def ellipse_angle(s):

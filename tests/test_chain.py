@@ -168,11 +168,12 @@ def test_propagate_keeps_a_huge_finite_state(tabletop):
 
 
 def test_propagate_names_first_unphysical_frequency(monkeypatch):
-    # a source that is not positive semidefinite at 7 and 9 MHz stands in for a broken stage
-    def broken(p, omega_hz):
+    # a transfer whose state is not positive semidefinite at 7 and 9 MHz stands in for a
+    # broken kernel
+    def broken(v, w, a, b):
         return SpectralCovariance(np.ones(3), np.ones(3), np.array([0.0, 2.0, 3.0]) + 0j)
 
-    monkeypatch.setattr(chain, "generated_spectrum", broken)
+    monkeypatch.setattr(chain, "_apply_pair", broken)
     with pytest.raises(RuntimeError, match="at 7000000.0 Hz"):
         propagate(_bare_scenario(), np.array([1.0, 7.0, 9.0]) * MHZ)
 
@@ -211,9 +212,9 @@ def test_propagate_and_budget_walk_one_chain(name, request, monkeypatch):
     real = chain._apply_pair
     pairs = []
 
-    def recording(s, a, b):
+    def recording(v, w, a, b):
         pairs.append((a, b))
-        return real(s, a, b)
+        return real(v, w, a, b)
 
     monkeypatch.setattr(chain, "_apply_pair", recording)
     freqs = np.array([5.0, 10.0]) * MHZ

@@ -2,8 +2,9 @@
 module-level private name of the package is read by some package module,
 every public name is read by some code that is not a test, no package
 module imports numpy or dataclasses when it loads, each value class's
-``__init__`` takes its annotated fields with their defaults, and the
-chain's sideband pair and its fsr/4 bound are each spelled in one place.
+``__init__`` takes its annotated fields with their defaults, the
+chain's sideband pair and its fsr/4 bound are each spelled in one place,
+and only the sideband kernel builds a covariance without its checks.
 
 No linter is a dependency, so this is a small stdlib ``ast`` scan over the
 package, the tests and the scripts.  A name that a module lists in
@@ -200,11 +201,14 @@ def enclosing_functions(tree, match):
     return found
 
 
-def calls_reflection(node):
-    """A call of ``reflection``, bare or as a module attribute."""
-    return isinstance(node, ast.Call) and (
-        isinstance(node.func, ast.Name) and node.func.id == "reflection"
-        or isinstance(node.func, ast.Attribute) and node.func.attr == "reflection")
+def calls(name):
+    """A test of a node: is it a call of name, bare or as a module attribute?"""
+    def match(node):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+    return match
 
 
 def divides_by_four(node):
@@ -217,7 +221,7 @@ def test_scan_finds_calls_and_their_function():
     tree = ast.parse("reflection(p, w)\ndef f():\n    def g():\n"
                      "        return c.reflection(p, -w)\n"
                      "    return x / 4.0 + y / 2\nclass C:\n    z = 1 / 4\n")
-    assert enclosing_functions(tree, calls_reflection) == [(1, None), (4, "g")]
+    assert enclosing_functions(tree, calls("reflection")) == [(1, None), (4, "g")]
     assert enclosing_functions(tree, divides_by_four) == [(5, "f"), (7, None)]
 
 
@@ -226,8 +230,16 @@ def test_one_place_spells_the_sideband_pair_and_the_quarter_fsr_bound():
     # takes both from chain rather than carrying a copy that can drift
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
     pair = {(name, where) for name, tree in trees.items()
-            for _, where in enclosing_functions(tree, calls_reflection)}
+            for _, where in enclosing_functions(tree, calls("reflection"))}
     assert pair == {("chain.py", "_sideband_pair")}
     bound = [(name, where) for name, tree in trees.items()
              for _, where in enclosing_functions(tree, divides_by_four)]
     assert bound == [("chain.py", "__init__")]
+
+
+def test_only_the_kernel_builds_an_unchecked_state():
+    # every other covariance of the package goes through SpectralCovariance's checks, and
+    # the kernel's result through propagate's exit check (or the walk's own)
+    built = {(path.name, where) for path in PACKAGE for _, where in enclosing_functions(
+        ast.parse(path.read_text(encoding="utf-8")), calls("_unchecked"))}
+    assert built == {("quadcore.py", "_apply_pair")}

@@ -16,7 +16,7 @@ from sqzbudget.quadcore import (
     variance_to_db,
 )
 
-from conftest import det, loss, matrix, reflect, squeezed_state
+from conftest import det, loss, matrix, reflect, squeezed_state, transfer
 
 etas = st.floats(min_value=0.0, max_value=1.0)
 dbs = st.floats(min_value=-20.0, max_value=20.0)
@@ -121,7 +121,7 @@ def test_sideband_transfer_builds_frozen_covariances():
     lossy = loss(s, 0.65)
     turned = reflect(s, CavityParams(t_in=0.1, loss_rt=0.003, detuning_hz=1e7,
                                      length_m=1.21), 8e6)
-    for out in (lossy, turned):
+    for out in (lossy, turned, _apply_pair(0.1, 10.0, 0.3 + 0.4j, 0.8)):
         assert type(out) is SpectralCovariance
         with pytest.raises(AttributeError):
             out.s11 = 1.0
@@ -166,8 +166,23 @@ def test_loss_cov_commutes_with_composition(db, eta):
 def test_sideband_pairs_compose(db, theta, a1, b1, a2, b2):
     # the rule that lets a chain be one transfer: (a1, b1) then (a2, b2) is (a1*a2, b1*b2)
     s = squeezed_state(db, theta)
-    one = _apply_pair(_apply_pair(s, a1, b1), a2, b2)
-    two = _apply_pair(s, a1 * a2, b1 * b2)
+    one = transfer(transfer(s, a1, b1), a2, b2)
+    two = transfer(s, a1 * a2, b1 * b2)
     assert one.s11 == pytest.approx(two.s11, abs=1e-12)
     assert one.s22 == pytest.approx(two.s22, abs=1e-12)
     assert abs(one.s12 - two.s12) < 1e-12
+
+
+@given(st.floats(min_value=1e-300, max_value=1.0), factors, factors)
+def test_kernel_matches_the_general_transfer(v, a, b):
+    # on the OPA's diag(v, 1/v) the reference's s12 terms are exact zeros, so the kernel
+    # that drops them gives the same floats (== ignores only the sign of a zero, where s12
+    # may differ), on floats as the one-chunk walk passes them and on arrays as propagate does
+    assert _apply_pair(v, 1.0 / v, a, b) == transfer(SpectralCovariance(v, 1.0 / v), a, b)
+    vs, av, bv = np.array([v, 1.0]), np.full(2, a), np.full(2, b)
+    got = _apply_pair(vs, 1.0 / vs, av, bv)
+    want = transfer(SpectralCovariance(vs, 1.0 / vs), av, bv)
+    assert all(map(np.array_equal, got._fields(), want._fields()))
+    # vacuum, the arrays' second element, comes back exactly
+    assert (got.s11[1], got.s22[1], got.s12[1]) == (1.0, 1.0, 0j)
+    assert _apply_pair(1.0, 1.0, a, b) == SpectralCovariance(1.0, 1.0)
